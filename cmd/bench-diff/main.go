@@ -9,14 +9,15 @@
 // load-aware placement beating data-only under skew, the QoS express
 // lane protecting the foreground p99 — fails the PR.
 //
-// Usage:
+// Usage (the experiment list is every committed BENCH_<id>.json baseline):
 //
-//	dsa-bench -run placement,sched,qos,skew -json bench-current
+//	ids="$(ls bench/baseline | sed -n 's/^BENCH_\(.*\)\.json$/\1/p' | paste -sd, -)"
+//	dsa-bench -run "$ids" -json bench-current
 //	bench-diff -baseline bench/baseline -current bench-current
 //
 // Baselines are refreshed by regenerating them on main and committing:
 //
-//	go run ./cmd/dsa-bench -run placement,sched,qos,skew -json bench/baseline
+//	go run ./cmd/dsa-bench -run "$ids" -json bench/baseline
 //
 // Exit codes: 0 all gates pass; 1 a measured speedup regressed; 2 usage
 // error; 3 a gate references an experiment/table/series missing from the

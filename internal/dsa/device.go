@@ -86,8 +86,7 @@ type atcKey struct {
 	page  mem.Addr
 }
 
-// DeviceStats aggregates the device's hardware counters (read by the
-// internal/pcm telemetry package).
+// DeviceStats aggregates the device's hardware counters.
 type DeviceStats struct {
 	Submitted      int64 // descriptors accepted into WQs (incl. batch parents)
 	Retries        int64 // ENQCMD rejections due to full shared WQs

@@ -14,13 +14,6 @@ import (
 type Batch struct {
 	t     *Tenant
 	descs []dsa.Descriptor
-	flags dsa.Flags
-}
-
-// WithFlags ORs extra descriptor flags into the batch submission.
-func (b *Batch) WithFlags(f dsa.Flags) *Batch {
-	b.flags |= f
-	return b
 }
 
 // NewBatch starts an empty batch.
@@ -29,48 +22,39 @@ func (t *Tenant) NewBatch() *Batch { return &Batch{t: t} }
 // Len returns the number of queued descriptors.
 func (b *Batch) Len() int { return len(b.descs) }
 
-// Copy appends a copy operation.
-func (b *Batch) Copy(dst, src mem.Addr, n int64) *Batch {
-	b.descs = append(b.descs, dsa.Descriptor{Op: dsa.OpMemmove, Src: src, Dst: dst, Size: n})
+func (b *Batch) add(d dsa.Descriptor) *Batch {
+	b.descs = append(b.descs, d)
 	return b
 }
+
+// Copy appends a copy operation.
+func (b *Batch) Copy(dst, src mem.Addr, n int64) *Batch { return b.add(memmoveOp(dst, src, n)) }
 
 // Fill appends a pattern-fill operation.
 func (b *Batch) Fill(dst mem.Addr, n int64, pattern uint64) *Batch {
-	b.descs = append(b.descs, dsa.Descriptor{Op: dsa.OpFill, Dst: dst, Size: n, Pattern: pattern})
-	return b
+	return b.add(fillOp(dst, n, pattern))
 }
 
 // Compare appends a compare operation.
-func (b *Batch) Compare(x, y mem.Addr, n int64) *Batch {
-	b.descs = append(b.descs, dsa.Descriptor{Op: dsa.OpCompare, Src: x, Src2: y, Size: n})
-	return b
-}
+func (b *Batch) Compare(x, y mem.Addr, n int64) *Batch { return b.add(compareOp(x, y, n)) }
 
 // CRC32 appends a CRC generation operation.
-func (b *Batch) CRC32(src mem.Addr, n int64, seed uint32) *Batch {
-	b.descs = append(b.descs, dsa.Descriptor{Op: dsa.OpCRCGen, Src: src, Size: n, CRCSeed: seed})
-	return b
-}
+func (b *Batch) CRC32(src mem.Addr, n int64, seed uint32) *Batch { return b.add(crcOp(src, n, seed)) }
 
 // Dualcast appends a dualcast operation.
 func (b *Batch) Dualcast(dst1, dst2, src mem.Addr, n int64) *Batch {
-	b.descs = append(b.descs, dsa.Descriptor{Op: dsa.OpDualcast, Src: src, Dst: dst1, Dst2: dst2, Size: n})
-	return b
+	return b.add(dualcastOp(dst1, dst2, src, n))
 }
 
 // DIFInsert appends a DIF insert operation.
 func (b *Batch) DIFInsert(dst, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags) *Batch {
-	b.descs = append(b.descs, dsa.Descriptor{
-		Op: dsa.OpDIFInsert, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: tags,
-	})
-	return b
+	return b.add(difOp(dsa.OpDIFInsert, dst, src, n, bs, tags, dif.Tags{}))
 }
 
 // Fence appends a fence: descriptors after it wait for all before it.
 func (b *Batch) Fence() *Batch {
 	if len(b.descs) > 0 {
-		b.descs = append(b.descs, dsa.Descriptor{Op: dsa.OpNop, Flags: dsa.FlagFence})
+		b.add(dsa.Descriptor{Op: dsa.OpNop, Flags: dsa.FlagFence})
 	}
 	return b
 }
@@ -83,144 +67,15 @@ func (b *Batch) Fence() *Batch {
 // homed on different sockets is sharded into per-socket sub-batches, each
 // submitted to a device local to its slice's data; the returned Future
 // joins the sub-batch completions (Wait drains each once, the first error
-// wins). When a later sub-batch fails to submit, the Future is still
-// returned alongside the error so the already-submitted slices can be
-// drained.
+// wins). When a sub-batch fails to submit, the others are still submitted
+// and the Future is returned alongside the error so they can be drained.
 func (b *Batch) Submit(p *sim.Proc) (*Future, error) {
-	switch len(b.descs) {
-	case 0:
+	if len(b.descs) == 0 {
 		return nil, fmt.Errorf("offload: empty batch")
-	case 1:
-		b.t.stats.batches.Add(1)
-		d := b.descs[0]
-		b.descs = nil
-		return b.t.submit(p, d, b.flags)
-	default:
-		descs := b.descs
-		b.descs = nil
-		// One logical flush costs one admission token, however many
-		// per-socket sub-batches placement shards it into: splitting is a
-		// placement decision, not extra work, so the same batch must not
-		// cost more under Placement than under NUMALocal (a shed flush
-		// counts once in Stats.Shed).
-		if err := b.t.admit(p); err != nil {
-			return nil, err
-		}
-		groups := b.t.splitByHome(descs, b.flags)
-		if groups == nil {
-			return b.t.submitSlice(p, descs, b.flags)
-		}
-		b.t.stats.splits.Add(int64(len(groups)))
-		parts := make([]*Future, 0, len(groups))
-		for _, idx := range groups {
-			sub := make([]dsa.Descriptor, len(idx))
-			for j, i := range idx {
-				sub[j] = descs[i]
-			}
-			f, err := b.t.submitSlice(p, sub, b.flags)
-			if err != nil {
-				parts = append(parts, completed(Result{}, err))
-				return joinFutures(parts), err
-			}
-			parts = append(parts, f)
-		}
-		return joinFutures(parts), nil
 	}
-}
-
-// submitSlice submits one run of an already-admitted flush as a batch
-// parent (or, for a single descriptor, as a plain submission — the
-// device's ≥2 rule).
-func (t *Tenant) submitSlice(p *sim.Proc, descs []dsa.Descriptor, flags dsa.Flags) (*Future, error) {
-	if len(descs) == 1 {
-		// A lone descriptor goes plain and is not a batch descriptor —
-		// Stats.Batches counts real parents, matching flushSlice.
-		return t.submitAdmitted(p, descs[0], flags)
-	}
-	t.stats.batches.Add(1)
-	f, err := t.submitAdmitted(p, dsa.Descriptor{Op: dsa.OpBatch, Descs: descs}, flags)
-	if err == nil {
-		// The OpBatch parent carries Size 0; account the payload.
-		for _, d := range descs {
-			t.stats.hwBytes.Add(d.Size)
-		}
-	}
-	return f, err
-}
-
-// splitByHome groups descriptors into per-socket sub-batches by data home
-// (Tenant.dataHome), returning index groups in first-seen order, with
-// submission order preserved inside each group. Under Policy.LoadAware the
-// grouping key is not the raw home but where the scheduler's cost model
-// says the descriptor will actually run (loadRouter): a slice homed on a
-// saturated socket detours with the rest of the traffic instead of being
-// dutifully split out and submitted into the backlog, and slices whose
-// routes coincide merge into one sub-batch. It returns nil — submit as
-// one batch — when splitting is disabled (Policy.SplitBatches), the active
-// scheduler is not data-aware (a blind policy would route every sub-batch
-// to the same device, making the split pure parent overhead), the flush
-// carries a Fence anywhere (fences order descriptors across the whole
-// batch, which independent devices cannot honor), or every descriptor
-// shares a target.
-//
-// flags are the batch-level flags the parent will be submitted with: a
-// fence arriving via Batch.WithFlags (or the tenant policy) makes the chain
-// exactly as unsplittable as a per-descriptor fence. The fence scan is a
-// pure pre-pass, before any load-aware routing: routeSocket folds a sample
-// into the placement cost EWMA and moves the hysteresis incumbent, so
-// discovering a mid-chain fence only after routing earlier descriptors
-// would leave phantom route state behind for a flush that is then never
-// split — under a saturated socket those phantom samples can flip the
-// detour decision for unrelated traffic.
-func (t *Tenant) splitByHome(descs []dsa.Descriptor, flags dsa.Flags) [][]int {
-	if !t.policy.SplitBatches || !t.S.dataAware {
-		return nil
-	}
-	if (flags|t.policy.Flags)&dsa.FlagFence != 0 {
-		return nil
-	}
-	for i := range descs {
-		if descs[i].Flags&dsa.FlagFence != 0 || descs[i].Op == dsa.OpNop {
-			return nil
-		}
-	}
-	var lr loadRouter
-	if t.policy.LoadAware {
-		lr, _ = t.S.sched.(loadRouter)
-	}
-	var groups [][]int
-	bySocket := make(map[int]int, 2)
-	// One logical flush is one routing decision per distinct home: the
-	// cost model's EWMA folds one sample per route lookup, so pricing
-	// every descriptor individually would compound the smoothing away
-	// with flush width (and let the estimate drift mid-scan).
-	var routed map[int]int
-	for i := range descs {
-		d := &descs[i]
-		home := t.dataHome(d)
-		if lr != nil {
-			if routed == nil {
-				routed = make(map[int]int, 2)
-			}
-			r, ok := routed[home]
-			if !ok {
-				r = lr.routeSocket(t.request(d), home)
-				routed[home] = r
-			}
-			home = r
-		}
-		g, ok := bySocket[home]
-		if !ok {
-			g = len(groups)
-			bySocket[home] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	if len(groups) < 2 {
-		return nil
-	}
-	return groups
+	descs := b.descs
+	b.descs = nil
+	return b.t.submitChain(p, chain{descs: descs, admit: true, split: len(descs) > 1})
 }
 
 // AutoBatcher transparently coalesces sub-threshold Auto-path copies and
@@ -282,79 +137,13 @@ func (ab *AutoBatcher) add(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
 // sub-batch and a failure resolves only that sub-batch's siblings. On a
 // submission failure the affected futures resolve with the error, the
 // remaining sub-batches are still submitted, and the first error is
-// returned.
+// returned. A shed flush resolves every coalesced future with the error.
 func (ab *AutoBatcher) Flush(p *sim.Proc) error {
 	if len(ab.pending) == 0 {
 		return nil
 	}
-	descs := ab.pending
-	futs := ab.futs
-	ab.pending = nil
-	ab.futs = nil
-
-	// As in Batch.Submit, the whole logical flush is admitted once; a
-	// shed flush resolves every coalesced future with the error.
-	if err := ab.t.admit(p); err != nil {
-		for _, f := range futs {
-			f.ab = nil
-			f.done = true
-			f.err = err
-		}
-		return err
-	}
-	groups := ab.t.splitByHome(descs, 0)
-	if groups == nil {
-		return ab.flushSlice(p, descs, futs)
-	}
-	ab.t.stats.splits.Add(int64(len(groups)))
-	var firstErr error
-	for _, idx := range groups {
-		sub := make([]dsa.Descriptor, len(idx))
-		subFuts := make([]*Future, len(idx))
-		for j, i := range idx {
-			sub[j], subFuts[j] = descs[i], futs[i]
-		}
-		if err := ab.flushSlice(p, sub, subFuts); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// flushSlice submits one run of an already-admitted flush as a batch (or
-// a plain descriptor when alone) and binds its pending futures to the
-// completion through a shared batchWait. On submission failure the slice's
-// futures resolve with the error.
-func (ab *AutoBatcher) flushSlice(p *sim.Proc, descs []dsa.Descriptor, futs []*Future) error {
-	var parent *Future
-	var err error
-	if len(descs) == 1 {
-		parent, err = ab.t.submitAdmitted(p, descs[0], 0)
-	} else {
-		ab.t.stats.batches.Add(1)
-		parent, err = ab.t.submitAdmitted(p, dsa.Descriptor{Op: dsa.OpBatch, Descs: descs}, 0)
-	}
-	if err != nil {
-		for _, f := range futs {
-			f.ab = nil
-			f.done = true
-			f.err = err
-		}
-		return err
-	}
-	if len(descs) > 1 {
-		// The OpBatch parent carries Size 0; account the coalesced
-		// payload (a single-descriptor flush was counted by submit).
-		for _, d := range descs {
-			ab.t.stats.hwBytes.Add(d.Size)
-		}
-	}
-	shared := &batchWait{}
-	for _, f := range futs {
-		f.ab = nil
-		f.cl = parent.cl
-		f.comp = parent.comp
-		f.sharedWait = shared
-	}
-	return nil
+	descs, futs := ab.pending, ab.futs
+	ab.pending, ab.futs = nil, nil
+	_, err := ab.t.submitChain(p, chain{descs: descs, futs: futs, admit: true, split: true})
+	return err
 }

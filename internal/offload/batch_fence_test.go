@@ -13,9 +13,10 @@ import (
 // sub-batches, even when LoadAware routing is pricing a saturated home
 // socket — a fence orders descriptors across the WHOLE batch, which two
 // independent devices cannot honor. Before the pre-pass fix, a fence
-// arriving via Batch.WithFlags (batch-level, not per-descriptor) was not
+// arriving at the batch level (not per-descriptor) was not
 // seen by the split scan at all, so exactly this chain sharded and the
-// cross-socket ordering silently evaporated.
+// cross-socket ordering silently evaporated. The batch-level case now
+// arrives through Policy.Flags, which reaches the same scan.
 func TestFencedChainUnsplitUnderSaturatedSocket(t *testing.T) {
 	for _, batchLevel := range []bool{true, false} {
 		pol := offload.DefaultPolicy()
@@ -53,7 +54,10 @@ func TestFencedChainUnsplitUnderSaturatedSocket(t *testing.T) {
 			// bug, not a tuning choice.
 			bt := tn.NewBatch().Copy(b.Addr(0), a.Addr(0), n)
 			if batchLevel {
-				bt.Copy(c.Addr(0), b.Addr(0), n).WithFlags(dsa.FlagFence)
+				fenced := tn.Policy()
+				fenced.Flags |= dsa.FlagFence
+				tn.SetPolicy(fenced)
+				bt.Copy(c.Addr(0), b.Addr(0), n)
 			} else {
 				bt.Fence()
 				bt.Copy(c.Addr(0), b.Addr(0), n)

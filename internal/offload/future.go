@@ -44,9 +44,9 @@ type Future struct {
 	ab    *AutoBatcher // non-nil while queued and unflushed
 
 	// d is the submitted descriptor (PASID and flags resolved), kept so
-	// fault recovery can re-submit the unfinished remainder. Only set on
-	// plain hardware futures built by Tenant.dispatch — the only futures
-	// recovery applies to.
+	// fault recovery can re-submit the unfinished remainder. Set on every
+	// future the portal path builds; recovery reads it only for plain
+	// (non-batch, non-coalesced) hardware futures.
 	d dsa.Descriptor
 
 	// sharedWait links futures that resolve from one completion record
@@ -233,36 +233,27 @@ func (f *Future) resolve(dur sim.Time) {
 	rec := f.comp.Record()
 	f.res = Result{Record: rec, Hardware: true, Duration: dur}
 	f.t.recordSLO(dur)
-	countFailure := func() {
-		if f.sharedWait != nil {
-			if f.sharedWait.failCounted {
-				return
-			}
-			f.sharedWait.failCounted = true
-		}
-		f.t.stats.failures.Add(1)
-	}
 	switch rec.Status {
 	case dsa.StatusSuccess:
 	case dsa.StatusRecordFull:
-		countFailure()
 		f.err = fmt.Errorf("offload: delta record overflow")
-		return
 	case dsa.StatusDIFError:
-		countFailure()
 		f.err = fmt.Errorf("offload: DIF check failed at block %d: %w", rec.Result, rec.Err)
-		return
 	case dsa.StatusBatchFail:
-		countFailure()
 		f.err = fmt.Errorf("offload: batch completed %d descriptors before failing: %w", rec.Result, rec.Err)
-		return
 	case dsa.StatusPageFault, dsa.StatusWQError, dsa.StatusDeviceOffline:
-		countFailure()
 		f.err = faultError(rec)
-		return
 	default:
-		countFailure()
 		f.err = fmt.Errorf("offload: %v: %w", rec.Status, rec.Err)
+	}
+	if f.err != nil {
+		// Coalesced siblings share one record: its failure counts once.
+		if sw := f.sharedWait; sw == nil || !sw.failCounted {
+			if sw != nil {
+				sw.failCounted = true
+			}
+			f.t.stats.failures.Add(1)
+		}
 		return
 	}
 	switch f.op {

@@ -15,6 +15,28 @@
 // operation returns a *Future whose Wait(p, mode) unifies the sync, async,
 // poll, UMWAIT, and interrupt completion paths.
 //
+// # One submission path
+//
+// Every hardware submission is a descriptor chain (chain.go), the unit
+// the device itself accepts: a descriptor alone or inside a batch. A
+// single op is a one-node chain, Batch.Submit and an AutoBatcher flush
+// are unfenced chains, each fused pipeline level run is a fenced chain,
+// and a fault-recovery retry re-submits the unfinished remainder as a
+// one-node chain. submitChain admits a chain once (one token however it
+// is split), shards it by data home when allowed, and hands each slice to
+// the portal: the scheduler's pick (or the pipeline's pinned socket), the
+// per-WQ client and coalescer, the portal write, and the stats.
+//
+// Ops come from one descriptor table (ops.go) shared by the Tenant
+// methods, the Batch builder and the Pipeline stages. The same table maps
+// a descriptor back onto the core (runOnCore) for the software path, the
+// FallbackAfter fallback and the SoftCRC32 stage, and Future.resolve is
+// the one completion-record decode. Recovery makes one decision
+// (retryFault: recoverable status, budget left, fault/retry accounting)
+// for futures, plane completions and pipeline chain re-runs. The sharded
+// Plane is a second transport, not a second front end: its lanes push
+// descriptors into lock-free per-WQ rings instead of writing the portal.
+//
 // # Completion path (§4.4)
 //
 // Interrupt-mode completions are moderated per tenant and QoS class
@@ -38,12 +60,12 @@
 // allocation-free lookup the service fills into every Request) and routes
 // to a WQ on the data's socket, preferring the faster-write medium when a
 // DRAM↔CXL pair straddles sockets and falling back to NUMALocal semantics
-// when the data's home is unknown. Under a data-aware scheduler the batch
-// paths go further: Batch.Submit and AutoBatcher.Flush shard a mixed-home
-// flush into per-socket sub-batches, each submitted to the device local to
-// its slice's data, with the sibling Futures joined so the wait cost is
-// paid once per sub-batch and failures stay sub-batch-granular
-// (Policy.SplitBatches; fenced batches are never split). Scheduler Pick
+// when the data's home is unknown. Under a data-aware scheduler the chain
+// path goes further: a Batch.Submit or AutoBatcher flush with mixed data
+// homes is sharded into per-socket sub-batches, each submitted to the
+// device local to its slice's data, with the sibling Futures joined so the
+// wait cost is paid once per sub-batch and failures stay
+// sub-batch-granular (Policy.SplitBatches; fenced chains are never split). Scheduler Pick
 // paths are allocation-free: per-socket WQ subsets and express/rest
 // priority partitions are precomputed on the Service (Topology) instead of
 // being re-derived per submission.

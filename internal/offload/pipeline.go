@@ -94,12 +94,12 @@ func (SoftCRC32) Engine() string { return "isal" }
 
 // Run implements StageExecutor.
 func (s SoftCRC32) Run(p *sim.Proc, t *Tenant, io StageIO) (uint64, error) {
-	crc, dur, err := t.Core.CRC32(io.Src, io.Size, s.Seed)
+	res, dur, err := t.runOnCore(&dsa.Descriptor{Op: dsa.OpCRCGen, Src: io.Src, Size: io.Size, CRCSeed: s.Seed})
 	if err != nil {
 		return 0, err
 	}
 	p.Sleep(dur)
-	return uint64(crc), nil
+	return uint64(res.CRC), nil
 }
 
 // FabricSend streams the stage's source bytes into a fabric pipe (NIC,
@@ -150,7 +150,7 @@ type pstage struct {
 	d    dsa.Descriptor // template for device stages (op, size, op params)
 	exec StageExecutor  // non-nil for software/fabric stages
 
-	src, src2, dst, dst2 Ref
+	src, src2, dst Ref
 
 	deps   []*Stage
 	level  int
@@ -178,6 +178,10 @@ type Pipeline struct {
 
 	// home is the socket the last Submit placed the pipeline on.
 	home int
+
+	// hardware records whether the running submission put any chain on
+	// the device (its Result.Hardware).
+	hardware bool
 
 	// failed is the index of the stage whose fault ended the last
 	// submission (-1 when the last run succeeded). Stages after it in a
@@ -217,80 +221,50 @@ func (pl *Pipeline) add(st pstage, opts []StageOption) *Stage {
 			st.level = l
 		}
 	}
-	// Fixed addresses in a generic descriptor template become fixed refs so
-	// placement and re-resolution treat every stage uniformly.
-	if !st.src.set() && st.d.Src != 0 {
-		st.src = At(st.d.Src)
-	}
-	if !st.src2.set() && st.d.Src2 != 0 {
-		st.src2 = At(st.d.Src2)
-	}
-	if !st.dst.set() && st.d.Dst != 0 {
-		st.dst = At(st.d.Dst)
-	}
-	if !st.dst2.set() && st.d.Dst2 != 0 {
-		st.dst2 = At(st.d.Dst2)
-	}
 	pl.stages = append(pl.stages, st)
 	return &Stage{pl: pl, i: len(pl.stages) - 1}
 }
 
 // Copy appends a device move stage.
 func (pl *Pipeline) Copy(dst, src Ref, n int64, opts ...StageOption) *Stage {
-	return pl.add(pstage{d: dsa.Descriptor{Op: dsa.OpMemmove, Size: n}, src: src, dst: dst}, opts)
+	return pl.add(pstage{d: memmoveOp(0, 0, n), src: src, dst: dst}, opts)
 }
 
 // Fill appends a device pattern-fill stage.
 func (pl *Pipeline) Fill(dst Ref, n int64, pattern uint64, opts ...StageOption) *Stage {
-	return pl.add(pstage{d: dsa.Descriptor{Op: dsa.OpFill, Size: n, Pattern: pattern}, dst: dst}, opts)
+	return pl.add(pstage{d: fillOp(0, n, pattern), dst: dst}, opts)
 }
 
 // CRC32 appends a device CRC-generation stage; the stage Result is the CRC.
 func (pl *Pipeline) CRC32(src Ref, n int64, seed uint32, opts ...StageOption) *Stage {
-	return pl.add(pstage{d: dsa.Descriptor{Op: dsa.OpCRCGen, Size: n, CRCSeed: seed}, src: src}, opts)
+	return pl.add(pstage{d: crcOp(0, n, seed), src: src}, opts)
 }
 
 // CopyCRC appends a fused device copy+CRC stage.
 func (pl *Pipeline) CopyCRC(dst, src Ref, n int64, seed uint32, opts ...StageOption) *Stage {
-	return pl.add(pstage{d: dsa.Descriptor{Op: dsa.OpCopyCRC, Size: n, CRCSeed: seed}, src: src, dst: dst}, opts)
+	return pl.add(pstage{d: copyCRCOp(0, 0, n, seed), src: src, dst: dst}, opts)
 }
 
 // Compare appends a device compare stage; Result is the mismatch offset.
 func (pl *Pipeline) Compare(a, b Ref, n int64, opts ...StageOption) *Stage {
-	return pl.add(pstage{d: dsa.Descriptor{Op: dsa.OpCompare, Size: n}, src: a, src2: b}, opts)
+	return pl.add(pstage{d: compareOp(0, 0, n), src: a, src2: b}, opts)
 }
 
 // DIFStrip appends a device DIF verify-and-strip stage over n protected
 // bytes.
 func (pl *Pipeline) DIFStrip(dst, src Ref, n int64, bs dif.BlockSize, tags dif.Tags, opts ...StageOption) *Stage {
-	return pl.add(pstage{
-		d:   dsa.Descriptor{Op: dsa.OpDIFStrip, Size: n, DIFBlock: bs, DIFTags: tags},
-		src: src, dst: dst,
-	}, opts)
+	return pl.add(pstage{d: difOp(dsa.OpDIFStrip, 0, 0, n, bs, tags, dif.Tags{}), src: src, dst: dst}, opts)
 }
 
 // DIFInsert appends a device DIF protection-insert stage over n raw bytes.
 func (pl *Pipeline) DIFInsert(dst, src Ref, n int64, bs dif.BlockSize, tags dif.Tags, opts ...StageOption) *Stage {
-	return pl.add(pstage{
-		d:   dsa.Descriptor{Op: dsa.OpDIFInsert, Size: n, DIFBlock: bs, DIFTags: tags},
-		src: src, dst: dst,
-	}, opts)
+	return pl.add(pstage{d: difOp(dsa.OpDIFInsert, 0, 0, n, bs, tags, dif.Tags{}), src: src, dst: dst}, opts)
 }
 
 // CreateDelta appends a device delta-record stage; Result is the record
 // bytes used.
 func (pl *Pipeline) CreateDelta(record, orig, mod Ref, n, maxRecord int64, opts ...StageOption) *Stage {
-	return pl.add(pstage{
-		d:   dsa.Descriptor{Op: dsa.OpCreateDelta, Size: n, MaxDst: maxRecord},
-		src: orig, src2: mod, dst: record,
-	}, opts)
-}
-
-// Stage appends a generic device stage from a descriptor template (operand
-// addresses may be fixed in the template or left zero and set via refs on
-// the specialized helpers).
-func (pl *Pipeline) Stage(d dsa.Descriptor, opts ...StageOption) *Stage {
-	return pl.add(pstage{d: d}, opts)
+	return pl.add(pstage{d: createDeltaOp(0, 0, 0, n, maxRecord), src: orig, src2: mod, dst: record}, opts)
 }
 
 // Exec appends a software/fabric stage run through x. n is the stage input
@@ -336,7 +310,6 @@ func (pl *Pipeline) homeSocket() int {
 		pl.addLeg(st.src, st.d.Size, false)
 		pl.addLeg(st.src2, st.d.Size, false)
 		pl.addLeg(st.dst, st.d.Size, true)
-		pl.addLeg(st.dst2, st.d.Size, true)
 	}
 	return PipelineSocket(t.S.topo, pl.legs, fallback)
 }
@@ -419,75 +392,24 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 // unfenced (the flush wait is a stronger barrier than the fence it
 // replaces).
 func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
-	t := pl.t
-	e := t.S.E
-	maxChain := t.S.maxBatch
+	pl.chain, pl.chainIdx, pl.hardware = pl.chain[:0], pl.chainIdx[:0], false
+	err := pl.walk(p)
+	for _, b := range pl.scratchBufs {
+		pl.t.FreeScratch(b)
+	}
+	res := Result{Hardware: pl.hardware}
+	if err == nil {
+		res.Record = dsa.CompletionRecord{Status: dsa.StatusSuccess, Result: uint64(len(pl.stages))}
+	}
+	run.finish(pl.t.S.E, res, err)
+}
+
+// walk runs the DAG's levels in order, returning the first stage error.
+func (pl *Pipeline) walk(p *sim.Proc) error {
+	maxChain := pl.t.S.maxBatch
 	if maxChain < 2 {
 		maxChain = 2
 	}
-	pl.chain = pl.chain[:0]
-	pl.chainIdx = pl.chainIdx[:0]
-	hardware := false
-
-	finish := func(err error) {
-		for _, b := range pl.scratchBufs {
-			t.FreeScratch(b)
-		}
-		res := Result{Hardware: hardware}
-		if err == nil {
-			res.Record = dsa.CompletionRecord{Status: dsa.StatusSuccess, Result: uint64(len(pl.stages))}
-		}
-		run.finish(e, res, err)
-	}
-
-	flush := func() error {
-		if len(pl.chain) == 0 {
-			return nil
-		}
-		retries := 0
-		for {
-			f, err := t.submitChainPinned(p, pl.chain, pl.home)
-			if err != nil {
-				return err
-			}
-			hardware = true
-			res, err := f.Wait(p, t.policy.Wait)
-			if err != nil {
-				// A batch chain whose first failure is a recoverable fault
-				// is re-run whole within the retry budget: the chain's ops
-				// are idempotent by construction (they write scratch or
-				// their declared outputs), so re-running already-applied
-				// children is safe, and the fence barrier poisoned — never
-				// ran — everything past the fault. Lone-descriptor chains
-				// already recovered on the Future path; a surviving error
-				// there is terminal.
-				if k := firstFailedChild(&res.Record); k >= 0 &&
-					recoverableStatus(res.Record.Children[k].Status) && retries < t.policy.RetryMax {
-					retries++
-					t.stats.faults.Add(1)
-					t.S.met.fault()
-					t.stats.retries.Add(1)
-					t.S.met.retry()
-					if t.policy.RetryBackoff > 0 {
-						p.Sleep(sim.Time(t.policy.RetryBackoff))
-					}
-					continue
-				}
-				return pl.chainError(&res.Record, err)
-			}
-			if len(pl.chainIdx) == 1 {
-				pl.stages[pl.chainIdx[0]].result = res.Record.Result
-			} else {
-				for k, rec := range res.Record.Children {
-					pl.stages[pl.chainIdx[k]].result = rec.Result
-				}
-			}
-			pl.chain = pl.chain[:0]
-			pl.chainIdx = pl.chainIdx[:0]
-			return nil
-		}
-	}
-
 	for i := 0; i < len(pl.order); {
 		level := pl.stages[pl.order[i]].level
 		j := i
@@ -500,9 +422,8 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 		if hasExec {
 			// Software stages read the previous levels' outputs: the chain
 			// must land before they run.
-			if err := flush(); err != nil {
-				finish(err)
-				return
+			if err := pl.flush(p); err != nil {
+				return err
 			}
 			for _, si := range pl.order[i:j] {
 				st := &pl.stages[si]
@@ -518,10 +439,9 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 				if io.MaxDst == 0 {
 					io.MaxDst = io.Size
 				}
-				res, err := st.exec.Run(p, t, io)
+				res, err := st.exec.Run(p, pl.t, io)
 				if err != nil {
-					finish(err)
-					return
+					return err
 				}
 				st.result = res
 			}
@@ -533,16 +453,14 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 				continue
 			}
 			if len(pl.chain) >= maxChain {
-				if err := flush(); err != nil {
-					finish(err)
-					return
+				if err := pl.flush(p); err != nil {
+					return err
 				}
 			}
 			d := st.d
 			d.Src = pl.resolve(st.src)
 			d.Src2 = pl.resolve(st.src2)
 			d.Dst = pl.resolve(st.dst)
-			d.Dst2 = pl.resolve(st.dst2)
 			if newLevel && len(pl.chain) > 0 {
 				// The first device stage of a new level fences the chain:
 				// everything queued so far must complete before this level
@@ -555,11 +473,53 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 		}
 		i = j
 	}
-	if err := flush(); err != nil {
-		finish(err)
-		return
+	return pl.flush(p)
+}
+
+// flush submits the pending chain pinned to the pipeline's socket and
+// waits for it. A batch chain whose first failure is a recoverable fault
+// is re-run whole within the retry budget: the chain's ops are idempotent
+// by construction (they write scratch or their declared outputs), so
+// re-running already-applied children is safe, and the fence barrier
+// poisoned — never ran — everything past the fault. Lone-descriptor
+// chains already recovered on the Future path; a surviving error there is
+// terminal.
+func (pl *Pipeline) flush(p *sim.Proc) error {
+	if len(pl.chain) == 0 {
+		return nil
 	}
-	finish(nil)
+	t := pl.t
+	for retries := 0; ; {
+		f, err := t.submitChain(p, chain{descs: pl.chain, pinned: true, socket: pl.home})
+		if err != nil {
+			return err
+		}
+		pl.hardware = true
+		res, err := f.Wait(p, t.policy.Wait)
+		if err != nil {
+			if k := firstFailedChild(&res.Record); k >= 0 {
+				if _, retry := t.retryFault(res.Record.Children[k].Status, retries); retry {
+					retries++
+					t.retried()
+					if t.policy.RetryBackoff > 0 {
+						p.Sleep(sim.Time(t.policy.RetryBackoff))
+					}
+					continue
+				}
+			}
+			return pl.chainError(&res.Record, err)
+		}
+		if len(pl.chainIdx) == 1 {
+			pl.stages[pl.chainIdx[0]].result = res.Record.Result
+		} else {
+			for k, rec := range res.Record.Children {
+				pl.stages[pl.chainIdx[k]].result = rec.Result
+			}
+		}
+		pl.chain = pl.chain[:0]
+		pl.chainIdx = pl.chainIdx[:0]
+		return nil
+	}
 }
 
 // firstFailedChild returns the index of the first child record that
@@ -598,30 +558,4 @@ func (pl *Pipeline) chainError(rec *dsa.CompletionRecord, err error) error {
 	}
 	pl.failed = stage
 	return fmt.Errorf("offload: pipeline stage %d (%v): %w", stage, pl.stages[stage].d.Op, cause)
-}
-
-// submitChainPinned submits one compiled chain to the pipeline's socket:
-// one batch parent for a multi-descriptor chain, a plain submission for a
-// lone survivor (the device's ≥2 batch rule). The chain slice is copied —
-// the device holds it asynchronously while the driver reuses its buffer.
-func (t *Tenant) submitChainPinned(p *sim.Proc, chain []dsa.Descriptor, socket int) (*Future, error) {
-	if len(chain) == 1 {
-		d := chain[0]
-		d.Flags &^= dsa.FlagFence // nothing precedes it in its batch
-		f, err := t.submitPinned(p, d, 0, socket)
-		if err == nil {
-			t.stats.hwBytes.Add(d.Size)
-		}
-		return f, err
-	}
-	sub := make([]dsa.Descriptor, len(chain))
-	copy(sub, chain)
-	t.stats.batches.Add(1)
-	f, err := t.submitPinned(p, dsa.Descriptor{Op: dsa.OpBatch, Descs: sub}, 0, socket)
-	if err == nil {
-		for i := range sub {
-			t.stats.hwBytes.Add(sub[i].Size)
-		}
-	}
-	return f, err
 }

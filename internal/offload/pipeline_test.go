@@ -429,3 +429,39 @@ func TestPipelinePlacementZeroAllocs(t *testing.T) {
 		t.Errorf("pipeline placement allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// A pipeline chain counts its payload toward Stats.HWBytes once: a
+// one-stage pipeline submits a lone descriptor and reports n bytes, a
+// two-stage one submits a fused batch and reports 2n.
+func TestPipelineHWBytesCountedOnce(t *testing.T) {
+	for stages := 1; stages <= 2; stages++ {
+		r := newRig(t, 1)
+		tn, err := r.service(t).NewTenant()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(4096)
+		src, dst := tn.Alloc(n), tn.Alloc(n)
+		pl := tn.NewPipeline()
+		if stages == 1 {
+			pl.Copy(offload.At(dst.Addr(0)), offload.At(src.Addr(0)), n)
+		} else {
+			tmp := pl.Scratch(n)
+			s1 := pl.Copy(tmp, offload.At(src.Addr(0)), n)
+			pl.Copy(offload.At(dst.Addr(0)), tmp, n, offload.After(s1))
+		}
+		r.run(func(p *sim.Proc) {
+			f, err := pl.Submit(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := f.Wait(p, offload.Poll); err != nil {
+				t.Error(err)
+			}
+		})
+		if got, want := tn.Stats().HWBytes, int64(stages)*n; got != want {
+			t.Errorf("%d-stage pipeline: HWBytes = %d, want %d", stages, got, want)
+		}
+	}
+}

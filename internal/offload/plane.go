@@ -63,6 +63,7 @@ type Plane struct {
 	// tenant's socket so the host fast path never walks WQ slices.
 	lsCand   []int
 	bulkCand []int
+	all      []int
 
 	// pending counts entries pushed to rings but not yet accepted by a
 	// WQ; inflight counts WQ-accepted descriptors not yet completed.
@@ -152,6 +153,10 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		pl.ringTok[i] = sim.NewToken(1)
 	}
 	pl.lsCand, pl.bulkCand = pl.candidates()
+	pl.all = make([]int, len(wqs))
+	for i := range pl.all {
+		pl.all[i] = i
+	}
 	count, _ := t.coalesceParams()
 	pl.wakeEvery = 1
 	if count > 1 {
@@ -251,24 +256,49 @@ func (l *Lane) laneShare() (rate float64, burst int) {
 	return pol.AdmitRate / float64(n), burst
 }
 
-// pickRing routes one submission: among the lane's class candidates,
-// the ring whose published WQ occupancy plus live ring backlog is
-// smallest, scanned from a lane-local strided cursor so equally loaded
-// rings spread across lanes instead of herding. Allocation-free.
-func (l *Lane) pickRing() int {
-	cands := l.pl.bulkCand
-	if l.pl.t.class == LatencySensitive {
-		cands = l.pl.lsCand
+// cands returns the ring indices the tenant's QoS class may target.
+func (pl *Plane) cands() []int {
+	if pl.t.class == LatencySensitive {
+		return pl.lsCand
 	}
+	return pl.bulkCand
+}
+
+// healthy reports whether ring i can take work: not detached by a
+// failover and its WQ not in a disable window or outage — the WQ flag
+// routes around a failure the drain has not detached yet. Two flag loads,
+// allocation-free and safe from host goroutines.
+func (pl *Plane) healthy(i int) bool { return !pl.dead[i].Load() && pl.wqs[i].Healthy() }
+
+// pickRing routes one submission: among the lane's class candidates,
+// the healthy ring whose published WQ occupancy plus live ring backlog
+// is smallest, scanned from a lane-local strided cursor so equally
+// loaded rings spread across lanes instead of herding. When the whole
+// candidate pool is down it detours to the least-loaded healthy service
+// ring (cross-socket beats shedding), and when everything is down it
+// falls back to the plain rotation so the entry lands somewhere; the
+// drain redistributes or sheds it. Allocation-free.
+func (l *Lane) pickRing() int {
+	cands := l.pl.cands()
+	best := l.leastLoaded(cands, l.cursor)
+	if best < 0 {
+		best = l.leastLoaded(l.pl.all, 0)
+	}
+	if best < 0 {
+		best = cands[l.cursor%len(cands)]
+	}
+	l.cursor++
+	return best
+}
+
+// leastLoaded returns the healthy ring of set, scanned from offset, with
+// the smallest published occupancy plus live ring length, or -1.
+func (l *Lane) leastLoaded(set []int, offset int) int {
 	snap := l.pl.snap.Load()
-	n := len(cands)
 	best, bestLoad := -1, int32(0)
-	for k := 0; k < n; k++ {
-		i := cands[(l.cursor+k)%n]
-		// Skip dead rings and unhealthy WQs (disable window, outage): the
-		// two flag loads keep the pick allocation-free while routing
-		// around failures the drain has or hasn't yet detached.
-		if l.pl.dead[i].Load() || !l.pl.wqs[i].Healthy() {
+	for k := range set {
+		i := set[(offset+k)%len(set)]
+		if !l.pl.healthy(i) {
 			continue
 		}
 		load := int32(l.pl.rings[i].Len())
@@ -279,36 +309,30 @@ func (l *Lane) pickRing() int {
 			best, bestLoad = i, load
 		}
 	}
-	if best < 0 {
-		// Candidate pool down (disable window or outage): detour to any
-		// healthy service ring — cross-socket beats shedding.
-		for i := range l.pl.rings {
-			if l.pl.dead[i].Load() || !l.pl.wqs[i].Healthy() {
-				continue
-			}
-			load := int32(l.pl.rings[i].Len())
-			if snap != nil {
-				load += snap.Occ[i]
-			}
-			if best < 0 || load < bestLoad {
-				best, bestLoad = i, load
+	return best
+}
+
+// pushHealthy pushes one entry onto the first healthy ring that takes
+// it: the tenant's class candidates first, then — a cross-socket detour
+// beats failing the op — any service ring. It reports false when every
+// ring is down or full.
+func (pl *Plane) pushHealthy(d dsa.Descriptor, tag uint64) bool {
+	for _, set := range [2][]int{pl.cands(), pl.all} {
+		for _, i := range set {
+			if pl.healthy(i) && pl.rings[i].TryPush(d, tag) {
+				return true
 			}
 		}
 	}
-	if best < 0 {
-		// Everything is down: fall back to the plain rotation so the
-		// entry lands somewhere; the drain redistributes or sheds it.
-		best = cands[l.cursor%n]
-	}
-	l.cursor++
-	return best
+	return false
 }
 
 // TrySubmit is the host-domain fast path: lane-local admission, a
 // Snapshot-routed ring pick, and one lock-free push — no engine, no
 // locks, no allocation. It returns ErrAdmission when the lane's bucket
-// sheds the submission and dsa.ErrWQFull when every candidate ring is
-// full (the caller retries or sheds, as with bounded-retry submission).
+// sheds the submission and dsa.ErrWQFull when the picked ring is full
+// and no other healthy ring takes the entry (the caller retries or
+// sheds, as with bounded-retry submission).
 // now is the submitter's notion of virtual time; concurrent callers on
 // distinct lanes never share state beyond the rings' atomics.
 func (l *Lane) TrySubmit(now sim.Time, d dsa.Descriptor) error {
@@ -324,23 +348,9 @@ func (l *Lane) TrySubmit(now sim.Time, d dsa.Descriptor) error {
 	d.Flags |= l.pl.t.policy.Flags
 	idx := l.pickRing()
 	stamp := stampTag(now)
-	if !l.pl.rings[idx].TryPush(d, stamp) {
-		// Preferred ring full: sweep the remaining candidates once.
-		cands := l.pl.bulkCand
-		if l.pl.t.class == LatencySensitive {
-			cands = l.pl.lsCand
-		}
-		pushed := false
-		for _, i := range cands {
-			if i != idx && !l.pl.dead[i].Load() && l.pl.rings[i].TryPush(d, stamp) {
-				pushed = true
-				break
-			}
-		}
-		if !pushed {
-			l.pl.t.stats.failures.Add(1)
-			return dsa.ErrWQFull
-		}
+	if !l.pl.rings[idx].TryPush(d, stamp) && !l.pl.pushHealthy(d, stamp) {
+		l.pl.t.stats.failures.Add(1)
+		return dsa.ErrWQFull
 	}
 	l.pl.t.stats.hwOps.Add(1)
 	l.pl.t.stats.hwBytes.Add(d.Size)
@@ -523,24 +533,11 @@ func (pl *Plane) sweepDead(i int) {
 	}
 }
 
-// redistribute re-queues one failed-over entry onto the first healthy
-// candidate ring — falling back to any healthy service ring (a
-// cross-socket detour) when the class pool is down — and sheds it when
-// every ring is down or full.
+// redistribute re-queues one failed-over entry onto a healthy ring and
+// sheds it when every ring is down or full.
 func (pl *Plane) redistribute(e dsa.RingEntry) {
-	cands := pl.bulkCand
-	if pl.t.class == LatencySensitive {
-		cands = pl.lsCand
-	}
-	for _, j := range cands {
-		if !pl.dead[j].Load() && pl.wqs[j].Healthy() && pl.rings[j].TryPush(e.D, e.Tag) {
-			return
-		}
-	}
-	for j := range pl.rings {
-		if !pl.dead[j].Load() && pl.wqs[j].Healthy() && pl.rings[j].TryPush(e.D, e.Tag) {
-			return
-		}
+	if pl.pushHealthy(e.D, e.Tag) {
+		return
 	}
 	pl.pending.Add(-1)
 	pl.t.stats.failures.Add(1)
@@ -580,10 +577,8 @@ func tagRetry(tag uint64) uint64 {
 func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 	rec := c.Record()
 	ok := rec.Status == dsa.StatusSuccess
-	if !ok && recoverableStatus(rec.Status) {
-		pl.t.stats.faults.Add(1)
-		pl.t.S.met.fault()
-		if pl.retryFault(c, rec, tag) {
+	if !ok {
+		if _, retry := pl.t.retryFault(rec.Status, tagAttempt(tag)); retry && pl.requeue(c, rec, tag) {
 			return // remainder re-queued; the op is still in flight
 		}
 	}
@@ -604,43 +599,16 @@ func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 	}
 }
 
-// retryFault re-queues the unfinished remainder of a faulted plane
+// requeue re-queues the unfinished remainder of a faulted plane
 // submission onto a healthy ring, carrying the original latency stamp so
 // the recovered op's SLO span includes every retry round trip. Returns
-// false when the retry budget is exhausted or no ring can take it — the
-// completion then surfaces as a failure.
-func (pl *Plane) retryFault(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64) bool {
-	if tagAttempt(tag) >= pl.t.policy.RetryMax {
+// false when no ring can take it — the completion then surfaces as a
+// failure.
+func (pl *Plane) requeue(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64) bool {
+	if !pl.pushHealthy(remainderOf(*c.Desc(), rec), tagRetry(tag)) {
 		return false
 	}
-	d := remainderOf(*c.Desc(), rec)
-	ntag := tagRetry(tag)
-	cands := pl.bulkCand
-	if pl.t.class == LatencySensitive {
-		cands = pl.lsCand
-	}
-	pushed := false
-	for _, j := range cands {
-		if !pl.dead[j].Load() && pl.wqs[j].Healthy() && pl.rings[j].TryPush(d, ntag) {
-			pushed = true
-			break
-		}
-	}
-	if !pushed {
-		// Candidate pool down or full: any healthy service ring will do —
-		// a cross-socket detour beats failing the op.
-		for j := range pl.rings {
-			if !pl.dead[j].Load() && pl.wqs[j].Healthy() && pl.rings[j].TryPush(d, ntag) {
-				pushed = true
-				break
-			}
-		}
-	}
-	if !pushed {
-		return false
-	}
-	pl.t.stats.retries.Add(1)
-	pl.t.S.met.retry()
+	pl.t.retried()
 	pl.inflight.Add(-1)
 	pl.pending.Add(1)
 	pl.ensureDrain()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
@@ -197,5 +198,33 @@ func TestSubmitZeroAllocsParallel(t *testing.T) {
 	})
 	if allocs := res.AllocsPerOp(); allocs != 0 {
 		t.Fatalf("Lane.TrySubmit allocates %d times per op under RunParallel, want 0", allocs)
+	}
+}
+
+// TrySubmit pushes like every other plane sweep: when the picked ring is
+// full it detours to another healthy ring — cross-socket beats failing
+// the op — and never lands an entry behind a WQ that is down.
+func TestTrySubmitDetoursOnlyToHealthyRings(t *testing.T) {
+	cfg := []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}, {Mode: dsa.Dedicated, Size: 32}}
+	r, _, pl := planeRig(t, 2, 1, offload.Bulk, cfg...)
+	down := sim.Time(time.Millisecond)
+	for dev, wq := range []int{1, 0} {
+		if _, err := r.devs[dev].InjectFaults(dsa.FaultConfig{WQDisables: []dsa.WQDisable{{WQ: wq, Dur: down}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.e.RunUntil(1) // the disable windows open
+	wqs := pl.WQs() // socket 0's two WQs, then socket 1's
+	lane := pl.Lane(0)
+	d := dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}
+	for i := 0; i < wqs[0].Ring().Cap()+1; i++ {
+		if err := lane.TrySubmit(1, d); err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	for i, want := range []int{wqs[0].Ring().Cap(), 0, 0, 1} {
+		if got := wqs[i].Ring().Len(); got != want {
+			t.Errorf("ring %d holds %d entries, want %d", i, got, want)
+		}
 	}
 }

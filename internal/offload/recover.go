@@ -71,41 +71,56 @@ func remainderOf(d dsa.Descriptor, rec dsa.CompletionRecord) dsa.Descriptor {
 	return d
 }
 
+// retryFault is the one recovery decision, shared by Future.Wait, the
+// plane's completion hook and the pipeline chain re-run. It reports
+// whether status is a recoverable fault — counting it toward Stats.Faults
+// and the service's fault stream — and whether an operation already
+// retried prior times may be re-submitted within Policy.RetryMax.
+func (t *Tenant) retryFault(status dsa.Status, prior int) (fault, retry bool) {
+	if !recoverableStatus(status) {
+		return false, false
+	}
+	t.stats.faults.Add(1)
+	t.S.met.fault()
+	return true, prior < t.policy.RetryMax
+}
+
+// retried counts one re-submission recovery issued.
+func (t *Tenant) retried() {
+	t.stats.retries.Add(1)
+	t.S.met.retry()
+}
+
 // recover is the Future-path recovery loop, run by Future.Wait after the
 // completion record lands and before it is decoded: while the record
 // reports a recoverable fault and the retry budget lasts, re-submit the
 // remainder (through the scheduler, which routes around unhealthy WQs)
 // and wait again. After Policy.FallbackAfter consecutive faults the
 // remainder runs on the submitting core instead — bounded worst-case
-// latency under a fault storm — which resolves the future directly.
+// latency under a fault storm — which resolves the future directly. A
+// zero RetryMax disables recovery, the fallback included.
 func (t *Tenant) recover(p *sim.Proc, f *Future, mode WaitMode) {
-	pol := t.policy
-	if pol.RetryMax <= 0 {
-		return
-	}
-	for faults := 1; ; faults++ {
+	for prior := 0; ; prior++ {
 		rec := f.comp.Record()
-		if !recoverableStatus(rec.Status) {
+		fault, retry := t.retryFault(rec.Status, prior)
+		if !fault || t.policy.RetryMax <= 0 {
 			return
 		}
-		t.stats.faults.Add(1)
-		t.S.met.fault()
 		rem := remainderOf(f.d, rec)
-		if pol.FallbackAfter > 0 && faults >= pol.FallbackAfter && t.fallback(p, f, rem) {
+		if fa := t.policy.FallbackAfter; fa > 0 && prior+1 >= fa && t.fallback(p, f, rem) {
 			return
 		}
-		if faults > pol.RetryMax {
+		if !retry {
 			return // budget spent: resolve() surfaces the sentinel
 		}
-		if pol.RetryBackoff > 0 {
-			p.Sleep(sim.Time(pol.RetryBackoff))
+		if t.policy.RetryBackoff > 0 {
+			p.Sleep(sim.Time(t.policy.RetryBackoff))
 		}
-		nf, err := t.dispatch(p, rem, t.request(&rem))
+		nf, err := t.submitChain(p, chain{descs: []dsa.Descriptor{rem}})
 		if err != nil {
 			return // resubmission refused: the faulted record stands
 		}
-		t.stats.retries.Add(1)
-		t.S.met.retry()
+		t.retried()
 		f.cl, f.comp, f.d = nf.cl, nf.comp, nf.d
 		f.cl.Wait(p, f.comp, mode)
 	}
@@ -114,59 +129,25 @@ func (t *Tenant) recover(p *sim.Proc, f *Future, mode WaitMode) {
 // fallback finishes the remainder of a faulted operation on the
 // submitting core, resolving the future as a software completion whose
 // Duration spans the whole operation — faulted hardware attempts
-// included. Returns false for ops without a software equivalent (the
-// hardware retry loop keeps going for those).
+// included. Returns false for ops outside the fallback set — copies,
+// fills, dualcasts, CRCs and compares; delta and DIF ops keep to the
+// hardware retry loop.
 func (t *Tenant) fallback(p *sim.Proc, f *Future, rem dsa.Descriptor) bool {
-	var (
-		dur  sim.Time
-		err  error
-		fill func(*Result)
-	)
 	switch rem.Op {
-	case dsa.OpMemmove:
-		dur, err = t.Core.Memcpy(rem.Dst, rem.Src, rem.Size)
-	case dsa.OpFill:
-		dur, err = t.Core.Memset(rem.Dst, rem.Size, rem.Pattern)
-	case dsa.OpDualcast:
-		dur, err = t.Core.Dualcast(rem.Dst, rem.Dst2, rem.Src, rem.Size)
-	case dsa.OpCRCGen:
-		var crc uint32
-		crc, dur, err = t.Core.CRC32(rem.Src, rem.Size, rem.CRCSeed)
-		fill = func(r *Result) { r.CRC = crc }
-	case dsa.OpCopyCRC:
-		var crc uint32
-		crc, dur, err = t.Core.CopyCRC(rem.Dst, rem.Src, rem.Size, rem.CRCSeed)
-		fill = func(r *Result) { r.CRC = crc }
-	case dsa.OpCompare:
-		var off int64
-		var eq bool
-		off, eq, dur, err = t.Core.Memcmp(rem.Src, rem.Src2, rem.Size)
-		fill = func(r *Result) { r.Mismatch = !eq; r.Offset = off }
-	case dsa.OpComparePattern:
-		var off int64
-		var eq bool
-		off, eq, dur, err = t.Core.ComparePattern(rem.Src, rem.Size, rem.Pattern)
-		fill = func(r *Result) { r.Mismatch = !eq; r.Offset = off }
+	case dsa.OpMemmove, dsa.OpFill, dsa.OpDualcast, dsa.OpCRCGen, dsa.OpCopyCRC,
+		dsa.OpCompare, dsa.OpComparePattern:
 	default:
 		return false
 	}
+	res, dur, err := t.runOnCore(&rem)
 	if err != nil {
 		return false // core path refused: let the hardware fault surface
 	}
-	p.Sleep(dur)
-	t.stats.swOps.Add(1)
-	t.stats.swBytes.Add(rem.Size)
+	t.coreDone(p, &res, dur, rem.Size, f.start)
 	t.stats.fallbacks.Add(1)
 	t.S.met.fallback()
-	res := Result{
-		Record:   dsa.CompletionRecord{Status: dsa.StatusSuccess},
-		Duration: p.Now() - f.start,
-	}
-	if fill != nil {
-		fill(&res)
-	}
+	res.Record = dsa.CompletionRecord{Status: dsa.StatusSuccess}
 	f.done, f.res, f.err = true, res, nil
-	t.recordSLO(res.Duration)
 	return true
 }
 

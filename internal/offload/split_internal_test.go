@@ -62,7 +62,7 @@ func TestSplitByHomeFencePrePassLeavesRoutingUntouched(t *testing.T) {
 		{Op: dsa.OpMemmove, Src: a.Addr(0), Dst: b.Addr(0), Size: n},
 		{Op: dsa.OpMemmove, Flags: dsa.FlagFence, Src: b.Addr(0), Dst: c.Addr(0), Size: n},
 	}
-	if groups := tn.splitByHome(fenced, 0); groups != nil {
+	if groups := tn.splitByHome(fenced); groups != nil {
 		t.Fatalf("fenced chain split into %d groups, want unsplit", len(groups))
 	}
 	// loadAwareSocket's first act is sizing the hysteresis tables (ensure);
@@ -72,13 +72,14 @@ func TestSplitByHomeFencePrePassLeavesRoutingUntouched(t *testing.T) {
 			sched.lastRoute, sched.smoothed)
 	}
 
-	// A batch-level fence (WithFlags / Policy.Flags) must suppress the scan
-	// just the same.
+	// A batch-level fence (Policy.Flags) must suppress the scan just the
+	// same.
 	plain := []dsa.Descriptor{
 		{Op: dsa.OpMemmove, Src: a.Addr(0), Dst: b.Addr(0), Size: n},
 		{Op: dsa.OpMemmove, Src: c.Addr(0), Dst: c.Addr(0), Size: n},
 	}
-	if groups := tn.splitByHome(plain, dsa.FlagFence); groups != nil {
+	tn.policy.Flags = dsa.FlagFence
+	if groups := tn.splitByHome(plain); groups != nil {
 		t.Fatal("batch-level fence did not suppress splitting")
 	}
 	if len(sched.lastRoute) != 0 {
@@ -87,7 +88,8 @@ func TestSplitByHomeFencePrePassLeavesRoutingUntouched(t *testing.T) {
 
 	// Counterfactual: the same chain unfenced DOES route (state appears)
 	// and splits — the pre-pass, not the workload, kept the state clean.
-	if groups := tn.splitByHome(plain, 0); len(groups) != 2 {
+	tn.policy.Flags = 0
+	if groups := tn.splitByHome(plain); len(groups) != 2 {
 		t.Fatalf("unfenced mixed-home chain produced %d groups, want 2", len(groups))
 	}
 	if len(sched.lastRoute) == 0 {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"dsasim/internal/cpu"
-	"dsasim/internal/dif"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/sim"
@@ -198,7 +197,6 @@ func (t *Tenant) AllocOn(node int, size int64, opts ...mem.AllocOption) *mem.Buf
 type submitCfg struct {
 	path    Path
 	noBatch bool
-	flags   dsa.Flags
 }
 
 // OpOption customizes one operation.
@@ -209,38 +207,6 @@ func On(path Path) OpOption { return func(c *submitCfg) { c.path = path } }
 
 // NoBatch bypasses the AutoBatcher for this operation.
 func NoBatch() OpOption { return func(c *submitCfg) { c.noBatch = true } }
-
-// OpFlags ORs extra descriptor flags into this operation.
-func OpFlags(f dsa.Flags) OpOption { return func(c *submitCfg) { c.flags = f } }
-
-func opCfg(opts []OpOption) submitCfg {
-	var c submitCfg
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
-// useHW resolves the path decision for an n-byte operation against the
-// effective (possibly pressure-adapted) threshold.
-func (t *Tenant) useHW(c submitCfg, n int64) bool {
-	switch c.path {
-	case Hardware:
-		return true
-	case Software:
-		return false
-	default:
-		return n >= t.EffectiveThreshold()
-	}
-}
-
-// autoBatchable reports whether an Auto-path sub-threshold operation
-// should coalesce instead of running on the core (G1 over G2: batching
-// amortizes the offload overhead that otherwise makes small transfers a
-// core job, Fig 3).
-func (t *Tenant) autoBatchable(c submitCfg, n int64) bool {
-	return c.path == Auto && !c.noBatch && t.policy.AutoBatch > 0 && n < t.EffectiveThreshold()
-}
 
 // admit applies the tenant's token bucket to one hardware submission:
 // admitted immediately, delayed until a token accrues (Policy.AdmitWait),
@@ -283,9 +249,8 @@ func (t *Tenant) admit(p *sim.Proc) error {
 
 // request builds the scheduler request for one descriptor, resolving the
 // home nodes of the data it reads and writes. For a batch parent the first
-// child stands in for the whole batch: the batch paths group children by
-// home socket before submitting (batch.go), so any child's home is the
-// slice's.
+// child stands in for the whole batch: submitChain groups children by
+// home socket before submitting, so any child's home is the slice's.
 func (t *Tenant) request(d *dsa.Descriptor) Request {
 	req := Request{
 		Socket:    t.Core.Socket,
@@ -326,258 +291,4 @@ func (t *Tenant) dataHome(d *dsa.Descriptor) int {
 		return s
 	}
 	return t.Core.Socket
-}
-
-// submit schedules, prepares, and submits one hardware descriptor,
-// returning its Future. Admission control runs before WQ selection so a
-// shed or delayed submission never occupies a queue slot; bounded-retry
-// policies surface dsa.ErrWQFull through the error.
-func (t *Tenant) submit(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags) (*Future, error) {
-	if err := t.admit(p); err != nil {
-		return nil, err
-	}
-	return t.submitAdmitted(p, d, flags)
-}
-
-// submitAdmitted is submit past the admission gate. The batch paths call
-// it directly for the sub-batches of one already-admitted logical flush:
-// a split flush is the same logical work as an unsplit one and must cost
-// the same single token (Policy.SplitBatches is a placement knob, not an
-// extra submission).
-func (t *Tenant) submitAdmitted(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags) (*Future, error) {
-	if t.closed.Load() {
-		return nil, fmt.Errorf("offload: %w", ErrTenantClosed)
-	}
-	d.PASID = t.AS.PASID
-	d.Flags |= t.policy.Flags | flags
-	return t.dispatch(p, d, t.request(&d))
-}
-
-// submitPinned is submitAdmitted with placement already decided: the
-// descriptor goes to a WQ on the given socket regardless of where its data
-// lives. The pipeline driver uses it to keep every chain of one fused DAG on
-// the socket its intermediate scratch buffers were placed on — re-resolving
-// per-descriptor data homes would scatter a chain whose stages deliberately
-// share one device.
-func (t *Tenant) submitPinned(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags, socket int) (*Future, error) {
-	d.PASID = t.AS.PASID
-	d.Flags |= t.policy.Flags | flags
-	return t.dispatch(p, d, Request{
-		Socket: socket,
-		Class:  t.class,
-		Size:   d.Size,
-		Topo:   t.S.topo,
-	})
-}
-
-// dispatch runs the shared submission tail: scheduler pick, client resolve,
-// prepare, portal submit, stats.
-func (t *Tenant) dispatch(p *sim.Proc, d dsa.Descriptor, req Request) (*Future, error) {
-	wq := t.S.sched.Pick(req, t.S.wqs)
-	if wq == nil {
-		return nil, fmt.Errorf("offload: scheduler %q returned no work queue", t.S.sched.Name())
-	}
-	cl := t.client(wq)
-	// Re-resolve the moderation vector per submission so SetPolicy takes
-	// effect on the next operation, as its contract promises.
-	cl.Coal = t.Coalescer()
-	cl.Prepare(p)
-	start := p.Now()
-	comp, err := cl.TrySubmit(p, d, t.policy.MaxRetries)
-	if err != nil {
-		t.stats.failures.Add(1)
-		return nil, err
-	}
-	t.stats.hwOps.Add(1)
-	t.stats.hwBytes.Add(d.Size)
-	return &Future{t: t, cl: cl, comp: comp, op: d.Op, start: start, d: d}, nil
-}
-
-// sw wraps a completed software-path result, charging the core time.
-func (t *Tenant) sw(p *sim.Proc, start sim.Time, bytes int64, dur sim.Time, err error, fill func(*Result)) (*Future, error) {
-	if t.closed.Load() {
-		return nil, fmt.Errorf("offload: %w", ErrTenantClosed)
-	}
-	if err != nil {
-		t.stats.failures.Add(1)
-		return nil, err
-	}
-	p.Sleep(dur)
-	t.stats.swOps.Add(1)
-	t.stats.swBytes.Add(bytes)
-	res := Result{Duration: p.Now() - start}
-	if fill != nil {
-		fill(&res)
-	}
-	t.recordSLO(res.Duration)
-	return completed(res, nil), nil
-}
-
-// Copy moves n bytes from src to dst.
-func (t *Tenant) Copy(p *sim.Proc, dst, src mem.Addr, n int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpMemmove, Src: src, Dst: dst, Size: n}, c.flags)
-	}
-	if t.autoBatchable(c, n) {
-		return t.Batcher().add(p, dsa.Descriptor{
-			Op: dsa.OpMemmove, Src: src, Dst: dst, Size: n, Flags: t.policy.Flags | c.flags,
-		})
-	}
-	start := p.Now()
-	dur, err := t.Core.Memcpy(dst, src, n)
-	return t.sw(p, start, n, dur, err, nil)
-}
-
-// Fill writes the repeating 8-byte pattern over n bytes at dst.
-func (t *Tenant) Fill(p *sim.Proc, dst mem.Addr, n int64, pattern uint64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpFill, Dst: dst, Size: n, Pattern: pattern}, c.flags)
-	}
-	if t.autoBatchable(c, n) {
-		return t.Batcher().add(p, dsa.Descriptor{
-			Op: dsa.OpFill, Dst: dst, Size: n, Pattern: pattern, Flags: t.policy.Flags | c.flags,
-		})
-	}
-	start := p.Now()
-	dur, err := t.Core.Memset(dst, n, pattern)
-	return t.sw(p, start, n, dur, err, nil)
-}
-
-// Compare checks n bytes at a and b for equality.
-func (t *Tenant) Compare(p *sim.Proc, a, b mem.Addr, n int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpCompare, Src: a, Src2: b, Size: n}, c.flags)
-	}
-	start := p.Now()
-	off, eq, dur, err := t.Core.Memcmp(a, b, n)
-	return t.sw(p, start, n, dur, err, func(r *Result) { r.Mismatch = !eq; r.Offset = off })
-}
-
-// ComparePattern checks n bytes at src against the repeating pattern.
-func (t *Tenant) ComparePattern(p *sim.Proc, src mem.Addr, n int64, pattern uint64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpComparePattern, Src: src, Size: n, Pattern: pattern}, c.flags)
-	}
-	start := p.Now()
-	off, eq, dur, err := t.Core.ComparePattern(src, n, pattern)
-	return t.sw(p, start, n, dur, err, func(r *Result) { r.Mismatch = !eq; r.Offset = off })
-}
-
-// CRC32 computes the seeded CRC-32 of n bytes at src.
-func (t *Tenant) CRC32(p *sim.Proc, src mem.Addr, n int64, seed uint32, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpCRCGen, Src: src, Size: n, CRCSeed: seed}, c.flags)
-	}
-	start := p.Now()
-	crc, dur, err := t.Core.CRC32(src, n, seed)
-	return t.sw(p, start, n, dur, err, func(r *Result) { r.CRC = crc })
-}
-
-// CopyCRC copies n bytes and returns the CRC-32 of the data.
-func (t *Tenant) CopyCRC(p *sim.Proc, dst, src mem.Addr, n int64, seed uint32, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpCopyCRC, Src: src, Dst: dst, Size: n, CRCSeed: seed}, c.flags)
-	}
-	start := p.Now()
-	crc, dur, err := t.Core.CopyCRC(dst, src, n, seed)
-	return t.sw(p, start, n, dur, err, func(r *Result) { r.CRC = crc })
-}
-
-// Dualcast copies n bytes from src to both destinations.
-func (t *Tenant) Dualcast(p *sim.Proc, dst1, dst2, src mem.Addr, n int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpDualcast, Src: src, Dst: dst1, Dst2: dst2, Size: n}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.Dualcast(dst1, dst2, src, n)
-	return t.sw(p, start, n, dur, err, nil)
-}
-
-// CreateDelta writes a delta record of orig→mod differences into record.
-func (t *Tenant) CreateDelta(p *sim.Proc, record, orig, mod mem.Addr, n, maxRecord int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpCreateDelta, Src: orig, Src2: mod, Dst: record, Size: n, MaxDst: maxRecord,
-		}, c.flags)
-	}
-	start := p.Now()
-	used, dur, err := t.Core.DeltaCreate(record, orig, mod, n, maxRecord)
-	return t.sw(p, start, 2*n, dur, err, func(r *Result) { r.Size = used })
-}
-
-// ApplyDelta replays a recordLen-byte delta record onto dst (dstLen bytes).
-func (t *Tenant) ApplyDelta(p *sim.Proc, dst, record mem.Addr, recordLen, dstLen int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, recordLen) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpApplyDelta, Src: record, Dst: dst, Size: recordLen, MaxDst: dstLen,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DeltaApply(dst, record, recordLen, dstLen)
-	return t.sw(p, start, recordLen, dur, err, nil)
-}
-
-// DIFInsert generates protected blocks from n raw bytes at src.
-func (t *Tenant) DIFInsert(p *sim.Proc, dst, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpDIFInsert, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: tags,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DIFInsert(dst, src, n, bs, tags)
-	return t.sw(p, start, n, dur, err, nil)
-}
-
-// DIFCheck verifies n protected bytes at src.
-func (t *Tenant) DIFCheck(p *sim.Proc, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpDIFCheck, Src: src, Size: n, DIFBlock: bs, DIFTags: tags,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DIFCheck(src, n, bs, tags)
-	if err != nil {
-		t.stats.failures.Add(1)
-		return completed(Result{Duration: dur}, err), err
-	}
-	return t.sw(p, start, n, dur, nil, nil)
-}
-
-// DIFStrip verifies and removes protection information.
-func (t *Tenant) DIFStrip(p *sim.Proc, dst, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpDIFStrip, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: tags,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DIFStrip(dst, src, n, bs, tags)
-	return t.sw(p, start, n, dur, err, nil)
-}
-
-// DIFUpdate rewrites protection information from old to new tags.
-func (t *Tenant) DIFUpdate(p *sim.Proc, dst, src mem.Addr, n int64, bs dif.BlockSize, old, new dif.Tags, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpDIFUpdate, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: old, DIFTags2: new,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DIFUpdate(dst, src, n, bs, old, new)
-	return t.sw(p, start, n, dur, err, nil)
 }

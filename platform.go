@@ -35,9 +35,6 @@
 //	    res, _ := fut.Wait(p, offload.Poll)
 //	    fmt.Println("copied in", res.Duration)
 //	})
-//
-// The legacy Workspace/DML surface remains as a compatibility shim over the
-// same service (internal/dml).
 package dsasim
 
 import (
@@ -45,7 +42,6 @@ import (
 	"time"
 
 	"dsasim/internal/cpu"
-	"dsasim/internal/dml"
 	"dsasim/internal/dsa"
 	"dsasim/internal/idxd"
 	"dsasim/internal/mem"
@@ -383,40 +379,6 @@ func (pl *Platform) NewTenant(opts ...offload.TenantOption) *offload.Tenant {
 func (pl *Platform) NewTenantOn(socket int, opts ...offload.TenantOption) *offload.Tenant {
 	opts = append([]offload.TenantOption{offload.OnSocket(socket)}, opts...)
 	return pl.NewTenant(opts...)
-}
-
-// Workspace is the legacy process context, kept as a compatibility shim:
-// the same tenant exposed through the dml.Executor API.
-type Workspace struct {
-	Platform *Platform
-	Tenant   *offload.Tenant
-	AS       *mem.AddressSpace
-	Core     *cpu.Core
-	DML      *dml.Executor
-}
-
-// NewWorkspace creates a process context on socket 0 bound to every device.
-func (pl *Platform) NewWorkspace(opts ...dml.Option) *Workspace {
-	return pl.NewWorkspaceOn(0, opts...)
-}
-
-// NewWorkspaceOn creates a process context on the given socket.
-func (pl *Platform) NewWorkspaceOn(socket int, opts ...dml.Option) *Workspace {
-	tn := pl.NewTenantOn(socket)
-	return &Workspace{
-		Platform: pl,
-		Tenant:   tn,
-		AS:       tn.AS,
-		Core:     tn.Core,
-		DML:      dml.FromTenant(tn, opts...),
-	}
-}
-
-// Alloc allocates a buffer on the workspace's local DRAM node (delegating
-// to the tenant allocator, which prefers the socket's DRAM node and honors
-// explicit placement options).
-func (w *Workspace) Alloc(size int64, opts ...mem.AllocOption) *mem.Buffer {
-	return w.Tenant.Alloc(size, opts...)
 }
 
 // Run starts fn as a simulated process and runs the engine to completion.

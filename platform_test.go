@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"dsasim/internal/dml"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/offload"
@@ -23,12 +22,17 @@ func TestSPRPlatformBasics(t *testing.T) {
 	if pl.Node(2).Kind != mem.CXL {
 		t.Fatal("SPR profile missing CXL node")
 	}
-	ws := pl.NewWorkspace()
-	src := ws.Alloc(1 << 20)
-	dst := ws.Alloc(1 << 20)
+	tn := pl.NewTenant()
+	src := tn.Alloc(1 << 20)
+	dst := tn.Alloc(1 << 20)
 	sim.NewRand(1).Bytes(src.Bytes())
 	pl.Run(func(p *sim.Proc) {
-		res, err := ws.DML.Copy(p, dst.Addr(0), src.Addr(0), 1<<20, dml.Auto)
+		fut, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 1<<20)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		res, err := fut.Wait(p, offload.Poll)
 		if err != nil {
 			t.Error(err)
 			return
@@ -50,11 +54,15 @@ func TestICXPlatformUsesCBDMA(t *testing.T) {
 	if got := pl.Devices[0].Cfg.Timing.FabricGBps; got >= dsa.DefaultTiming().FabricGBps {
 		t.Fatalf("CBDMA fabric %v should be below DSA's", got)
 	}
-	ws := pl.NewWorkspace()
-	src := ws.Alloc(64 << 10)
-	dst := ws.Alloc(64 << 10)
+	tn := pl.NewTenant()
+	src := tn.Alloc(64 << 10)
+	dst := tn.Alloc(64 << 10)
 	pl.Run(func(p *sim.Proc) {
-		if _, err := ws.DML.Copy(p, dst.Addr(0), src.Addr(0), 64<<10, dml.Hardware); err != nil {
+		fut, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 64<<10, offload.On(offload.Hardware))
+		if err == nil {
+			_, err = fut.Wait(p, offload.Poll)
+		}
+		if err != nil {
 			t.Error(err)
 		}
 	})
@@ -77,26 +85,26 @@ func TestAddDeviceCustomGroups(t *testing.T) {
 	}
 }
 
-func TestWorkspacesAreIsolated(t *testing.T) {
+func TestTenantsAreIsolated(t *testing.T) {
 	pl := NewPlatform(SPR())
-	w1 := pl.NewWorkspace()
-	w2 := pl.NewWorkspace()
-	if w1.AS.PASID == w2.AS.PASID {
-		t.Fatal("workspaces share a PASID")
+	t1 := pl.NewTenant()
+	t2 := pl.NewTenant()
+	if t1.AS.PASID == t2.AS.PASID {
+		t.Fatal("tenants share a PASID")
 	}
-	b1 := w1.Alloc(4096)
-	// w2 must not resolve w1's addresses.
-	if _, _, err := w2.AS.Lookup(b1.Addr(0)); err == nil {
-		t.Fatal("cross-workspace address resolved")
+	b1 := t1.Alloc(4096)
+	// t2 must not resolve t1's addresses.
+	if _, _, err := t2.AS.Lookup(b1.Addr(0)); err == nil {
+		t.Fatal("cross-tenant address resolved")
 	}
 }
 
-func TestMultiSocketWorkspace(t *testing.T) {
+func TestMultiSocketTenant(t *testing.T) {
 	pl := NewPlatform(SPR())
-	ws := pl.NewWorkspaceOn(1)
-	buf := ws.Alloc(4096)
+	tn := pl.NewTenantOn(1)
+	buf := tn.Alloc(4096)
 	if buf.Node.Socket != 1 {
-		t.Fatalf("socket-1 workspace allocated on socket %d", buf.Node.Socket)
+		t.Fatalf("socket-1 tenant allocated on socket %d", buf.Node.Socket)
 	}
 }
 
