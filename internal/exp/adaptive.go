@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
 	"dsasim/internal/report"
@@ -125,7 +124,7 @@ func adaptiveRig() (*sim.Engine, *offload.Service) {
 		wqs = append(wqs, dev.WQs()...)
 	}
 	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(offload.NewPlacementQoS()), offload.WithCPUModel(cpu.SPRModel()))
+		offload.WithScheduler(offload.NewPlacementQoS()))
 	if err != nil {
 		panic(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
 	"dsasim/internal/report"
@@ -98,7 +97,7 @@ func coalesceRig() (*sim.Engine, *offload.Service) {
 		panic(err)
 	}
 	svc, err := offload.NewService(e, sys, dev.WQs(),
-		offload.WithScheduler(offload.NewPriorityAware()), offload.WithCPUModel(cpu.SPRModel()))
+		offload.WithScheduler(offload.NewPriorityAware()))
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
 	"dsasim/internal/report"
@@ -290,7 +289,7 @@ func placementThroughput(cfg placementCfg, wl placementWorkload) float64 {
 	pol.SplitBatches = cfg.split
 	pol.LoadAware = cfg.loadAware
 	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(cfg.sched()), offload.WithPolicy(pol), offload.WithCPUModel(cpu.SPRModel()))
+		offload.WithScheduler(cfg.sched()), offload.WithPolicy(pol))
 	if err != nil {
 		panic(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
 	"dsasim/internal/report"
@@ -75,7 +74,7 @@ func qosP99(cfg qosCfg, bulkQD int) sim.Time {
 		panic(err)
 	}
 	svc, err := offload.NewService(e, sys, dev.WQs(),
-		offload.WithScheduler(cfg.sched()), offload.WithCPUModel(cpu.SPRModel()))
+		offload.WithScheduler(cfg.sched()))
 	if err != nil {
 		panic(err)
 	}

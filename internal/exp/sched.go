@@ -3,7 +3,6 @@ package exp
 import (
 	"time"
 
-	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/offload"
@@ -80,7 +79,7 @@ func schedThroughput(sched offload.Scheduler, pol offload.Policy, size int64, co
 		wqs = append(wqs, dev.WQs()...)
 	}
 	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(sched), offload.WithPolicy(pol), offload.WithCPUModel(cpu.SPRModel()))
+		offload.WithScheduler(sched), offload.WithPolicy(pol))
 	if err != nil {
 		panic(err)
 	}

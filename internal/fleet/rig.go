@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/offload"
@@ -56,7 +55,7 @@ func fleetRig() (*sim.Engine, *offload.Service, []*dsa.Device) {
 		devs = append(devs, dev)
 	}
 	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(offload.NewPlacementQoS()), offload.WithCPUModel(cpu.SPRModel()))
+		offload.WithScheduler(offload.NewPlacementQoS()))
 	if err != nil {
 		panic(err)
 	}

@@ -50,7 +50,7 @@ func (t *Tenant) submitChain(p *sim.Proc, c chain) (*Future, error) {
 		// token, however many per-socket slices placement shards it
 		// into: splitting is a placement decision, not extra work (a
 		// shed chain counts once in Stats.Shed).
-		if err := t.admit(p); err != nil {
+		if err := t.admit(p, p.Now(), &t.bucket, 1); err != nil {
 			failAll(c.futs, err)
 			return nil, err
 		}
@@ -84,7 +84,9 @@ func (t *Tenant) submitChain(p *sim.Proc, c chain) (*Future, error) {
 		}
 		parts = append(parts, f)
 	}
-	return joinFutures(parts), firstErr
+	// Join the slices (always two or more: splitByHome never returns one
+	// group); the join starts at the first slice's submission instant.
+	return &Future{t: t, parts: parts, start: parts[0].start}, firstErr
 }
 
 // portal submits one slice to a WQ portal: a plain descriptor when alone
@@ -93,12 +95,6 @@ func (t *Tenant) submitChain(p *sim.Proc, c chain) (*Future, error) {
 // WQ on the pinned socket; the write goes through the tenant's per-WQ
 // client and coalescer.
 func (t *Tenant) portal(p *sim.Proc, c *chain, descs []dsa.Descriptor, futs []*Future) (*Future, error) {
-	if c.admit && t.closed.Load() {
-		// The admission wait may have slept across a Close.
-		err := fmt.Errorf("offload: %w", ErrTenantClosed)
-		failAll(futs, err)
-		return nil, err
-	}
 	var d dsa.Descriptor
 	var bytes int64
 	if len(descs) == 1 {
@@ -113,8 +109,7 @@ func (t *Tenant) portal(p *sim.Proc, c *chain, descs []dsa.Descriptor, futs []*F
 			bytes += descs[i].Size
 		}
 	}
-	d.PASID = t.AS.PASID
-	d.Flags |= t.policy.Flags
+	t.stamp(&d)
 	req := Request{Socket: c.socket, Class: t.class, Size: d.Size, Topo: t.S.topo}
 	if !c.pinned {
 		req = t.request(&d)
@@ -137,8 +132,7 @@ func (t *Tenant) portal(p *sim.Proc, c *chain, descs []dsa.Descriptor, futs []*F
 		failAll(futs, err)
 		return nil, err
 	}
-	t.stats.hwOps.Add(1)
-	t.stats.hwBytes.Add(bytes)
+	t.accepted(bytes)
 	if futs != nil {
 		// Coalesced siblings resolve from this one record and pay its
 		// wait once.

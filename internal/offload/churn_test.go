@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dsasim/internal/dif"
 	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
 	"dsasim/internal/sim"
@@ -252,52 +253,158 @@ func TestCloseRacesFaultingPipelineWithFailover(t *testing.T) {
 	}
 }
 
+// TestSLOBudgetAccounting pins the one outcome rule across front ends:
+// every accepted, caller-visible operation settles exactly once, as SLOOk
+// when it succeeded within budget and SLOMiss when it failed. Internal
+// waits (pipeline chains, split-batch parts) do not settle, and an
+// attempt recovery retried successfully is not a failure.
 func TestSLOBudgetAccounting(t *testing.T) {
-	r := newRig(t, 1)
-	svc := r.service(t)
-	pol := offload.DefaultPolicy()
-	pol.SLOBudget = 500 * time.Microsecond
-	tn, err := svc.NewTenant(offload.WithClass(offload.Bulk), offload.TenantPolicy(pol))
-	if err != nil {
-		t.Fatal(err)
+	const n = int64(64 << 10)
+	hwCopy := func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+		src, dst := tn.Alloc(n), tn.Alloc(n)
+		f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), n, offload.On(offload.Hardware))
+		waitTwice(t, p, f, err)
 	}
-	tight := pol
-	tight.SLOBudget = time.Nanosecond
-	miss, err := svc.NewTenant(offload.WithClass(offload.Bulk), offload.TenantPolicy(tight))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		sockets   int
+		placement bool             // data-aware scheduler, so batches split by home
+		faults    *dsa.FaultConfig // injected on every device
+		recovery  bool             // RetryMax 3 with a 3µs backoff
+		budget    time.Duration    // SLOBudget; zero means one second
+		run       func(t *testing.T, p *sim.Proc, tn *offload.Tenant)
+		ok, miss  int64
+		failures  int64
+	}{
+		{name: "hardware op", run: hwCopy, ok: 1},
+		{name: "late hardware op", budget: time.Nanosecond, run: hwCopy, miss: 1},
+		{name: "software op", run: func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+			src, dst := tn.Alloc(256), tn.Alloc(256)
+			f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 256, offload.On(offload.Software))
+			waitTwice(t, p, f, err)
+		}, ok: 1},
+		{name: "hardware DIF failure", run: func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+			if difCheckGarbage(p, tn, offload.Hardware) == nil {
+				t.Error("DIF check passed on garbage")
+			}
+		}, miss: 1, failures: 1},
+		{name: "software DIF failure", run: func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+			if difCheckGarbage(p, tn, offload.Software) == nil {
+				t.Error("DIF check passed on garbage")
+			}
+		}, miss: 1, failures: 1},
+		{name: "split batch", sockets: 2, placement: true, run: func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+			b := tn.NewBatch()
+			for node := 0; node < 2; node++ {
+				b.Copy(tn.AllocOn(node, n).Addr(0), tn.AllocOn(node, n).Addr(0), n)
+				b.Copy(tn.AllocOn(node, n).Addr(0), tn.AllocOn(node, n).Addr(0), n)
+			}
+			f, err := b.Submit(p)
+			waitTwice(t, p, f, err)
+			if got := tn.Stats().Splits; got != 2 {
+				t.Errorf("Splits = %d, want 2 (the batch must split for this case to mean anything)", got)
+			}
+		}, ok: 1},
+		{name: "two-chain pipeline", run: func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+			src, dst := tn.Alloc(n), tn.Alloc(n)
+			pl := tn.NewPipeline()
+			tmp := pl.Scratch(n)
+			in := pl.Copy(tmp, offload.At(src.Addr(0)), n)
+			crc := pl.Exec(offload.SoftCRC32{}, offload.Ref{}, tmp, n, 0, offload.After(in))
+			pl.Copy(offload.At(dst.Addr(0)), tmp, n, offload.After(crc))
+			f, err := pl.Submit(p)
+			waitTwice(t, p, f, err)
+		}, ok: 1},
+		{name: "recovered pipeline", recovery: true,
+			faults: &dsa.FaultConfig{Seed: 23, Bursts: []dsa.FaultBurst{{At: 0, Dur: sim.Time(2 * time.Microsecond), Per4K: 1}}},
+			run: func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+				src, dst := tn.Alloc(n), tn.Alloc(n)
+				pl := tn.NewPipeline()
+				tmp := pl.Scratch(n)
+				in := pl.Copy(tmp, offload.At(src.Addr(0)), n)
+				pl.Copy(offload.At(dst.Addr(0)), tmp, n, offload.After(in))
+				f, err := pl.Submit(p)
+				waitTwice(t, p, f, err)
+				if got := tn.Stats().Retries; got == 0 {
+					t.Error("no chain retry: the storm must fault the first attempt")
+				}
+			}, ok: 1},
+		{name: "plane success", run: func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+			planeCopy(t, p, tn, n)
+		}, ok: 1},
+		{name: "plane terminal failure", faults: &dsa.FaultConfig{Seed: 3, PageFaultPer4K: 1},
+			run: func(t *testing.T, p *sim.Proc, tn *offload.Tenant) {
+				planeCopy(t, p, tn, n)
+			}, miss: 1, failures: 1},
 	}
-	n := int64(64 << 10)
-	src, dst := tn.Alloc(n), tn.Alloc(n)
-	msrc, mdst := miss.Alloc(n), miss.Alloc(n)
-
-	r.run(func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), n, offload.On(offload.Hardware))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, max(tc.sockets, 1))
+			if tc.faults != nil {
+				for _, dev := range r.devs {
+					if _, err := dev.InjectFaults(*tc.faults); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var opts []offload.ServiceOption
+			if tc.placement {
+				opts = append(opts, offload.WithScheduler(offload.NewPlacement()))
+			}
+			pol := offload.DefaultPolicy()
+			if tc.recovery {
+				pol = recoveryPolicy(3, 3*time.Microsecond, 0)
+			}
+			pol.SLOBudget = time.Second
+			if tc.budget > 0 {
+				pol.SLOBudget = tc.budget
+			}
+			tn, err := r.service(t, opts...).NewTenant(offload.TenantPolicy(pol))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Wait(p, offload.Poll); err != nil {
-				t.Fatal(err)
+			r.run(func(p *sim.Proc) { tc.run(t, p, tn) })
+			if s := tn.Stats(); s.SLOOk != tc.ok || s.SLOMiss != tc.miss || s.Failures != tc.failures {
+				t.Fatalf("ok=%d miss=%d failures=%d, want %d/%d/%d",
+					s.SLOOk, s.SLOMiss, s.Failures, tc.ok, tc.miss, tc.failures)
 			}
-		}
-		// A software-path op is scored too.
-		if _, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 256, offload.On(offload.Software)); err != nil {
-			t.Fatal(err)
-		}
-		f, err := miss.Copy(p, mdst.Addr(0), msrc.Addr(0), n, offload.On(offload.Hardware))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Wait(p, offload.Poll); err != nil {
-			t.Fatal(err)
-		}
-	})
+		})
+	}
+}
 
-	if s := tn.Stats(); s.SLOOk != 4 || s.SLOMiss != 0 {
-		t.Fatalf("generous budget: ok=%d miss=%d, want 4/0", s.SLOOk, s.SLOMiss)
+// difCheckGarbage runs a DIF check over random bytes on path and returns
+// its error, from submission (software) or Wait (hardware).
+func difCheckGarbage(p *sim.Proc, tn *offload.Tenant, path offload.Path) error {
+	prot := tn.Alloc(dif.Block512.Protected())
+	sim.NewRand(7).Bytes(prot.Bytes())
+	f, err := tn.DIFCheck(p, prot.Addr(0), prot.Size, dif.Block512, dif.Tags{AppTag: 1}, offload.On(path))
+	if err == nil {
+		_, err = f.Wait(p, offload.Poll)
 	}
-	if s := miss.Stats(); s.SLOOk != 0 || s.SLOMiss != 1 {
-		t.Fatalf("1ns budget: ok=%d miss=%d, want 0/1", s.SLOOk, s.SLOMiss)
+	return err
+}
+
+// waitTwice waits on a submitted op twice: the second Wait returns the
+// memoized result and must not settle the op again.
+func waitTwice(t *testing.T, p *sim.Proc, f *offload.Future, err error) {
+	for i := 0; err == nil && i < 2; i++ {
+		_, err = f.Wait(p, offload.Poll)
 	}
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// planeCopy submits one copy through a one-lane plane and drains it.
+func planeCopy(t *testing.T, p *sim.Proc, tn *offload.Tenant, n int64) {
+	pl, err := tn.NewPlane(1)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	src, dst := tn.Alloc(n), tn.Alloc(n)
+	if err := pl.Lane(0).Submit(p, dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: n}); err != nil {
+		t.Error(err)
+	}
+	pl.WaitInflight(p, 0)
 }

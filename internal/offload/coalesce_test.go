@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dsasim/internal/dsa"
+	"dsasim/internal/mem"
 	"dsasim/internal/offload"
 	"dsasim/internal/sim"
 )
@@ -245,29 +246,18 @@ func TestPolicySwapUnderLoadDeliversInFlight(t *testing.T) {
 // Admission-control retries fold into the coalescing window: a
 // backpressured tenant sleeps at least one moderation window per retry,
 // so tokens accrue in batches and the wakeup count stays far below one
-// per delayed submission.
+// per delayed submission. Plane lanes admit through the same decision,
+// so a lane delays (never sheds) under AdmitWait and folds the same way.
 func TestAdmissionRetriesFoldIntoCoalesceWindows(t *testing.T) {
-	wakeups := func(coalesce int) (int64, int64) {
-		r := newRig(t, 1)
-		pol := coalescePolicy(coalesce)
-		pol.CoalesceWindow = 40 * time.Microsecond
-		// One token per 10µs with room to bank four: a window-long sleep
-		// accrues tokens for the next several sub-batches, which is the
-		// whole point of folding the retries.
-		pol.AdmitRate = 100e3
-		pol.AdmitBurst = 8
-		pol.AdmitWait = true
-		svc := r.service(t, offload.WithPolicy(pol))
-		tn, err := svc.NewTenant()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := int64(16 << 10)
-		src, dst := tn.Alloc(n), tn.Alloc(n)
-		r.run(func(p *sim.Proc) {
+	n := int64(16 << 10)
+	inputs := []struct {
+		name   string
+		submit func(t *testing.T, p *sim.Proc, tn *offload.Tenant, src, dst mem.Addr)
+	}{
+		{"ops", func(t *testing.T, p *sim.Proc, tn *offload.Tenant, src, dst mem.Addr) {
 			futs := make([]*offload.Future, 0, 24)
 			for i := 0; i < 24; i++ {
-				f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), n, offload.On(offload.Hardware))
+				f, err := tn.Copy(p, dst, src, n, offload.On(offload.Hardware))
 				if err != nil {
 					t.Error(err)
 					return
@@ -279,21 +269,61 @@ func TestAdmissionRetriesFoldIntoCoalesceWindows(t *testing.T) {
 					t.Error(err)
 				}
 			}
+		}},
+		{"plane lane", func(t *testing.T, p *sim.Proc, tn *offload.Tenant, src, dst mem.Addr) {
+			pl, err := tn.NewPlane(1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 24; i++ {
+				d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src, Dst: dst, Size: n}
+				if err := pl.Lane(0).SubmitStamped(p, d, p.Now()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			pl.WaitInflight(p, 0)
+		}},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			wakeups := func(coalesce int) (int64, int64) {
+				r := newRig(t, 1)
+				pol := coalescePolicy(coalesce)
+				pol.CoalesceWindow = 40 * time.Microsecond
+				// One token per 10µs with room to bank four: a window-long
+				// sleep accrues tokens for the next several sub-batches,
+				// which is the whole point of folding the retries.
+				pol.AdmitRate = 100e3
+				pol.AdmitBurst = 8
+				pol.AdmitWait = true
+				svc := r.service(t, offload.WithPolicy(pol))
+				tn, err := svc.NewTenant()
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, dst := tn.Alloc(n), tn.Alloc(n)
+				r.run(func(p *sim.Proc) { in.submit(t, p, tn, src.Addr(0), dst.Addr(0)) })
+				st := tn.Stats()
+				if st.Shed != 0 {
+					t.Errorf("coalesce %d: %d submissions shed under AdmitWait, want delayed", coalesce, st.Shed)
+				}
+				return st.AdmitWakeups, st.Delayed
+			}
+			folded, foldedDelayed := wakeups(8)
+			unfolded, unfoldedDelayed := wakeups(1)
+			if foldedDelayed == 0 || unfoldedDelayed == 0 {
+				t.Fatalf("admission control never delayed (folded %d, unfolded %d): rate knob broken",
+					foldedDelayed, unfoldedDelayed)
+			}
+			if unfolded == 0 {
+				t.Fatal("unfolded run recorded no wakeups")
+			}
+			if folded >= unfolded {
+				t.Errorf("folded wakeups = %d, want fewer than the per-token %d", folded, unfolded)
+			}
 		})
-		st := tn.Stats()
-		return st.AdmitWakeups, st.Delayed
-	}
-	folded, foldedDelayed := wakeups(8)
-	unfolded, unfoldedDelayed := wakeups(1)
-	if foldedDelayed == 0 || unfoldedDelayed == 0 {
-		t.Fatalf("admission control never delayed (folded %d, unfolded %d): rate knob broken",
-			foldedDelayed, unfoldedDelayed)
-	}
-	if unfolded == 0 {
-		t.Fatal("unfolded run recorded no wakeups")
-	}
-	if folded >= unfolded {
-		t.Errorf("folded wakeups = %d, want fewer than the per-token %d", folded, unfolded)
 	}
 }
 

@@ -74,6 +74,10 @@ type Future struct {
 	// sub-batch records finishing within one window share one delivery.
 	parts []*Future
 
+	// ownerRetries marks a pipeline chain, whose flush decides whether a
+	// failed record is terminal and so counts toward Stats.Failures.
+	ownerRetries bool
+
 	done bool
 	res  Result
 	err  error
@@ -102,10 +106,21 @@ func (f *Future) Done() bool {
 // Wait blocks the calling process until the operation finishes, accounting
 // the wait on the tenant's core per mode, and returns the result. Waiting
 // on an operation still queued in the AutoBatcher flushes the batch first,
-// so a dependent caller can never deadlock on an unflushed batch.
+// so a dependent caller can never deadlock on an unflushed batch. The
+// first Wait settles the operation, unless its flush refused it.
 func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
+	if f.await(p, mode) {
+		f.t.settle(f.res.Duration, f.err == nil)
+	}
+	return f.res, f.err
+}
+
+// await resolves the future without settling it, reporting whether this
+// call resolved accepted work (not a done or flush-refused future).
+// Internal waits — pipeline chains, split-batch parts — await alone.
+func (f *Future) await(p *sim.Proc, mode WaitMode) bool {
 	if f.done {
-		return f.res, f.err
+		return false
 	}
 	if f.run != nil {
 		// The driver process pays the per-chain wait costs; the caller just
@@ -115,8 +130,7 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 		}
 		f.done, f.res, f.err = true, f.run.res, f.run.err
 		f.res.Duration = p.Now() - f.start
-		f.t.recordSLO(f.res.Duration)
-		return f.res, f.err
+		return true
 	}
 	if f.parts != nil {
 		return f.waitParts(p, mode)
@@ -128,7 +142,7 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 		// waitable, so only f.done decides.
 		f.ab.Flush(p)
 		if f.done {
-			return f.res, f.err
+			return false
 		}
 	}
 	if f.sharedWait == nil || !f.sharedWait.paid || !f.comp.Done() {
@@ -142,14 +156,14 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 	// as BatchFail), and batch parents recover at the pipeline/batch
 	// layer. A fallback resolves the future directly; a successful retry
 	// swaps in the retried completion, which resolve() decodes below.
-	if f.t != nil && f.sharedWait == nil && f.op != dsa.OpBatch {
+	if f.sharedWait == nil && f.op != dsa.OpBatch {
 		f.t.recover(p, f, mode)
 		if f.done {
-			return f.res, f.err
+			return true
 		}
 	}
 	f.resolve(p.Now() - f.start)
-	return f.res, f.err
+	return true
 }
 
 // waitParts resolves a joined (split-batch) future: every sub-batch is
@@ -158,23 +172,25 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 // success the synthesized record counts completed work descriptors
 // (Record.Result), matching what the device reports for an unsplit batch.
 // The future is marked done only after the drain, so a concurrent waiter
-// (or Done poller) never observes a premature success.
-func (f *Future) waitParts(p *sim.Proc, mode WaitMode) (Result, error) {
+// (or Done poller) never observes a premature success. It reports
+// whether any part was accepted: a join of refused slices does not settle.
+func (f *Future) waitParts(p *sim.Proc, mode WaitMode) bool {
 	res := Result{Hardware: true}
 	var firstErr error
 	var completed uint64
+	var accepted bool
 	for _, part := range f.parts {
-		pres, err := part.Wait(p, mode)
-		if err != nil {
+		accepted = part.await(p, mode) || accepted
+		if part.err != nil {
 			if firstErr == nil {
-				firstErr = err
-				res.Record = pres.Record
+				firstErr = part.err
+				res.Record = part.res.Record
 			}
 			continue
 		}
 		if part.op == dsa.OpBatch {
 			// A sub-batch parent's record counts its succeeded children.
-			completed += pres.Record.Result
+			completed += part.res.Record.Result
 		} else {
 			// A lone-descriptor part completed one work descriptor (its
 			// Result field carries op-specific data, not a count).
@@ -186,21 +202,7 @@ func (f *Future) waitParts(p *sim.Proc, mode WaitMode) (Result, error) {
 	}
 	res.Duration = p.Now() - f.start
 	f.done, f.res, f.err = true, res, firstErr
-	return f.res, f.err
-}
-
-// joinFutures links the sub-batch futures of one split submission into a
-// single Future whose start is the first part's submission instant. A
-// single part is returned as-is.
-func joinFutures(parts []*Future) *Future {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	f := &Future{parts: parts}
-	if len(parts) > 0 {
-		f.start = parts[0].start
-	}
-	return f
+	return accepted
 }
 
 // batchWait is the shared wait/accounting state of coalesced siblings.
@@ -224,15 +226,14 @@ func (r *pipeRun) finish(e *sim.Engine, res Result, err error) {
 	r.sig.Broadcast(e)
 }
 
-// resolve decodes the completion record into the memoized result. Every
-// resolved completion — success or failure — is scored against the
-// tenant's SLO budget: a failed operation did not serve its client within
-// budget either.
+// resolve decodes the completion record into the memoized result. A
+// failed record counts toward Stats.Failures once (coalesced siblings
+// share one record) unless the future's owner may still retry it:
+// a pipeline chain counts only when its retry budget is spent.
 func (f *Future) resolve(dur sim.Time) {
 	f.done = true
 	rec := f.comp.Record()
 	f.res = Result{Record: rec, Hardware: true, Duration: dur}
-	f.t.recordSLO(dur)
 	switch rec.Status {
 	case dsa.StatusSuccess:
 	case dsa.StatusRecordFull:
@@ -247,6 +248,9 @@ func (f *Future) resolve(dur sim.Time) {
 		f.err = fmt.Errorf("offload: %v: %w", rec.Status, rec.Err)
 	}
 	if f.err != nil {
+		if f.ownerRetries {
+			return
+		}
 		// Coalesced siblings share one record: its failure counts once.
 		if sw := f.sharedWait; sw == nil || !sw.failCounted {
 			if sw != nil {

@@ -36,6 +36,11 @@
 // for futures, plane completions and pipeline chain re-runs. The sharded
 // Plane is a second transport, not a second front end: its lanes push
 // descriptors into lock-free per-WQ rings instead of writing the portal.
+// Lanes admit and settle through the same two functions as chains:
+// Tenant.admit (closed check, token, shed or delay with the coalescing
+// floor, on the tenant's bucket or a lane's share) and Tenant.settle (an
+// accepted op settles once: at its first Future.Wait, on the software
+// path, or at a plane op's terminal completion or failover shed).
 //
 // # Completion path (§4.4)
 //
@@ -156,12 +161,6 @@ func WithPolicy(p Policy) ServiceOption { return func(sv *Service) { sv.policy =
 // WithCPUModel sets the model used for cores the service creates for
 // tenants (default SPR).
 func WithCPUModel(m cpu.Model) ServiceOption { return func(sv *Service) { sv.model = m } }
-
-// WithPASIDBase sets the first PASID handed to service-created tenants.
-func WithPASIDBase(n int) ServiceOption { return func(sv *Service) { sv.nextPASID = n } }
-
-// WithCoreBase sets the first core id handed to service-created tenants.
-func WithCoreBase(n int) ServiceOption { return func(sv *Service) { sv.nextCore = n } }
 
 // NewService builds a service over the given work queues (typically every
 // enabled WQ of every platform device).

@@ -146,6 +146,7 @@ func (t *Tenant) runSW(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
 	res, dur, err := t.runOnCore(&d)
 	if err != nil {
 		t.stats.failures.Add(1)
+		t.settle(dur, false)
 		return completed(Result{Duration: dur}, err), err
 	}
 	bytes := d.Size
@@ -153,18 +154,18 @@ func (t *Tenant) runSW(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
 		bytes *= 2
 	}
 	t.coreDone(p, &res, dur, bytes, start)
+	t.settle(res.Duration, true)
 	return completed(res, nil), nil
 }
 
 // coreDone charges a finished core run: the core is busy for dur, the run
-// counts toward the software stats, and the op's latency since start is
-// scored against the SLO budget.
+// counts toward the software stats, and the result carries the op's
+// latency since start.
 func (t *Tenant) coreDone(p *sim.Proc, res *Result, dur sim.Time, bytes int64, start sim.Time) {
 	p.Sleep(dur)
 	t.stats.swOps.Add(1)
 	t.stats.swBytes.Add(bytes)
 	res.Duration = p.Now() - start
-	t.recordSLO(res.Duration)
 }
 
 // runOnCore executes d's operation on the tenant's core without charging

@@ -361,7 +361,7 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 	if len(pl.stages) == 0 {
 		return nil, fmt.Errorf("offload: empty pipeline")
 	}
-	if err := t.admit(p); err != nil {
+	if err := t.admit(p, p.Now(), &t.bucket, 1); err != nil {
 		return nil, err
 	}
 	t.stats.pipelines.Add(1)
@@ -495,7 +495,9 @@ func (pl *Pipeline) flush(p *sim.Proc) error {
 			return err
 		}
 		pl.hardware = true
-		res, err := f.Wait(p, t.policy.Wait)
+		f.ownerRetries = true
+		f.await(p, t.policy.Wait)
+		res, err := f.res, f.err
 		if err != nil {
 			if k := firstFailedChild(&res.Record); k >= 0 {
 				if _, retry := t.retryFault(res.Record.Children[k].Status, retries); retry {
@@ -507,6 +509,7 @@ func (pl *Pipeline) flush(p *sim.Proc) error {
 					continue
 				}
 			}
+			t.stats.failures.Add(1)
 			return pl.chainError(&res.Record, err)
 		}
 		if len(pl.chainIdx) == 1 {

@@ -118,7 +118,6 @@ type Snapshot struct {
 // same Lane, which is the point.
 type Lane struct {
 	pl     *Plane
-	id     int
 	bucket tokenBucket
 	cursor int
 }
@@ -166,7 +165,7 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	for i := range pl.lanes {
 		// Cursors start strided so lanes spread across the candidate
 		// set instead of all hammering ring 0 before the first Snapshot.
-		pl.lanes[i] = &Lane{pl: pl, id: i, cursor: i}
+		pl.lanes[i] = &Lane{pl: pl, cursor: i}
 	}
 	t.S.met.hub.SetSyncCadence(planeAggCadence)
 	pl.Publish(t.S.E.Now())
@@ -215,12 +214,13 @@ func (pl *Plane) Lanes() int { return len(pl.lanes) }
 // WQs returns the work queues the plane feeds, indexed like its rings.
 func (pl *Plane) WQs() []*dsa.WQ { return pl.wqs }
 
-// OnCompletion registers fn to observe the stamped latency of every plane
-// completion: the span from the submission's stamp (the submit instant,
-// or the caller-provided stamp of SubmitStamped) to the completion record
-// write. ok reports whether the operation ultimately succeeded — false
-// means a terminal fault after the retry budget (the fleet driver scores
-// those against the SLO as failures, not goodput). Install before traffic
+// OnCompletion registers fn to observe every plane op as it settles: once
+// per accepted submission, at its terminal completion or failover shed,
+// with the span from the submission's stamp (the submit instant, or the
+// caller-provided stamp of SubmitStamped) to that instant. ok is false for
+// a terminal fault after the retry budget or a shed entry; the tenant's
+// SLOOk/SLOMiss score the same outcome by the same rule (the fleet driver
+// scores failures against the SLO, not goodput). Install before traffic
 // starts; the hook runs on the device completion path, so it must not
 // block.
 func (pl *Plane) OnCompletion(fn func(lat sim.Time, ok bool)) { pl.onLat = fn }
@@ -241,19 +241,6 @@ func (pl *Plane) Publish(now sim.Time) {
 	}
 	pl.snap.Store(s)
 	pl.lastPub, pl.pubbed = now, true
-}
-
-// laneShare returns this lane's shard of the tenant's admission policy:
-// the rate divides evenly across lanes, the burst divides with a floor
-// of one so every lane can issue at least one back-to-back submission.
-func (l *Lane) laneShare() (rate float64, burst int) {
-	pol := &l.pl.t.policy
-	n := len(l.pl.lanes)
-	burst = pol.AdmitBurst / n
-	if burst < 1 {
-		burst = 1
-	}
-	return pol.AdmitRate / float64(n), burst
 }
 
 // cands returns the ring indices the tenant's QoS class may target.
@@ -327,34 +314,28 @@ func (pl *Plane) pushHealthy(d dsa.Descriptor, tag uint64) bool {
 	return false
 }
 
-// TrySubmit is the host-domain fast path: lane-local admission, a
-// Snapshot-routed ring pick, and one lock-free push — no engine, no
-// locks, no allocation. It returns ErrAdmission when the lane's bucket
-// sheds the submission and dsa.ErrWQFull when the picked ring is full
-// and no other healthy ring takes the entry (the caller retries or
-// sheds, as with bounded-retry submission).
+// TrySubmit is the host-domain fast path: the tenant's admit on the
+// lane's share, a Snapshot-routed ring pick, and one lock-free push — no
+// engine, no locks, no allocation. With no process to delay, it returns
+// ErrAdmission whenever the lane's bucket is empty, and dsa.ErrWQFull
+// when the picked ring is full and no other healthy ring takes the entry
+// (the caller retries or sheds, as with bounded-retry submission).
 // now is the submitter's notion of virtual time; concurrent callers on
 // distinct lanes never share state beyond the rings' atomics.
 func (l *Lane) TrySubmit(now sim.Time, d dsa.Descriptor) error {
-	if l.pl.t.closed.Load() {
-		return fmt.Errorf("offload: lane %d: %w", l.id, ErrTenantClosed)
+	pl := l.pl
+	if err := pl.t.admit(nil, now, &l.bucket, len(pl.lanes)); err != nil {
+		return err
 	}
-	rate, burst := l.laneShare()
-	if ok, _ := l.bucket.take(now, rate, burst); !ok {
-		l.pl.t.stats.shed.Add(1)
-		return ErrAdmission
-	}
-	d.PASID = l.pl.t.AS.PASID
-	d.Flags |= l.pl.t.policy.Flags
+	pl.t.stamp(&d)
 	idx := l.pickRing()
 	stamp := stampTag(now)
-	if !l.pl.rings[idx].TryPush(d, stamp) && !l.pl.pushHealthy(d, stamp) {
-		l.pl.t.stats.failures.Add(1)
+	if !pl.rings[idx].TryPush(d, stamp) && !pl.pushHealthy(d, stamp) {
+		pl.t.stats.failures.Add(1)
 		return dsa.ErrWQFull
 	}
-	l.pl.t.stats.hwOps.Add(1)
-	l.pl.t.stats.hwBytes.Add(d.Size)
-	l.pl.pending.Add(1)
+	pl.t.accepted(d.Size)
+	pl.pending.Add(1)
 	return nil
 }
 
@@ -372,34 +353,19 @@ func (l *Lane) Submit(p *sim.Proc, d dsa.Descriptor) error {
 
 // SubmitStamped is Submit with an explicit latency stamp: the instant the
 // operation logically entered the system, carried through the ring to the
-// completion path, where the stamp-to-record span is scored against the
-// tenant's SLO budget and handed to the OnCompletion observer. Open-loop
+// completion path, where the op settles with the stamp-to-record span
+// and the OnCompletion observer sees it. Admission is the tenant's admit
+// on the lane's share (AdmitWait delays it as it delays an op). Open-loop
 // drivers (internal/fleet) stamp the scheduled arrival time instead of
 // the submit instant, so time an overloaded shard spends behind its own
 // backlog counts against the SLO the way a waiting client would see it —
 // the standard guard against coordinated omission.
 func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) error {
 	pl := l.pl
-	t := pl.t
-	if t.closed.Load() {
-		return fmt.Errorf("offload: lane %d: %w", l.id, ErrTenantClosed)
+	if err := pl.t.admit(p, p.Now(), &l.bucket, len(pl.lanes)); err != nil {
+		return err
 	}
-	rate, burst := l.laneShare()
-	ok, wait := l.bucket.take(p.Now(), rate, burst)
-	if !ok {
-		if !t.policy.AdmitWait {
-			t.stats.shed.Add(1)
-			return fmt.Errorf("offload: lane %d over admission share: %w", l.id, ErrAdmission)
-		}
-		t.stats.delayed.Add(1)
-		for !ok {
-			p.Sleep(wait)
-			t.stats.admitWakeups.Add(1)
-			ok, wait = l.bucket.take(p.Now(), rate, burst)
-		}
-	}
-	d.PASID = t.AS.PASID
-	d.Flags |= t.policy.Flags
+	pl.t.stamp(&d)
 	tm := pl.wqs[0].Dev.Cfg.Timing
 	idx := l.pickRing()
 	// The slot-publish CAS: submitters racing into one ring serialize
@@ -412,8 +378,7 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	for !pl.rings[idx].TryPush(d, stampTag(stamp)) {
 		p.Sleep(tm.PollGap)
 	}
-	t.stats.hwOps.Add(1)
-	t.stats.hwBytes.Add(d.Size)
+	pl.t.accepted(d.Size)
 	pl.pending.Add(1)
 	pl.ensureDrain()
 	return nil
@@ -534,46 +499,41 @@ func (pl *Plane) sweepDead(i int) {
 }
 
 // redistribute re-queues one failed-over entry onto a healthy ring and
-// sheds it when every ring is down or full.
+// sheds it when every ring is down or full: an accepted op that can no
+// longer run, so it settles as a failure.
 func (pl *Plane) redistribute(e dsa.RingEntry) {
 	if pl.pushHealthy(e.D, e.Tag) {
 		return
 	}
 	pl.pending.Add(-1)
-	pl.t.stats.failures.Add(1)
-	if stamp := tagStamp(e.Tag); stamp != 0 && pl.onLat != nil {
-		pl.onLat(pl.t.S.E.Now()-sim.Time(stamp-1), false)
-	}
+	pl.settle(e.Tag, false)
 }
 
-// Ring tags carry the submission's latency stamp in the low 56 bits (+1
-// so tag 0 still means "no stamp" at virtual time zero — 2^56 ns is ~2
-// years of virtual time) and the fault-retry attempt count in the top 8,
-// so recovery needs no per-operation state.
+// Ring tags carry the submission's latency stamp in the low 56 bits
+// (2^56 ns is ~2 years of virtual time) and the fault-retry attempt count
+// in the top 8, so recovery needs no per-operation state.
 const (
 	tagAttemptShift = 56
 	tagStampMask    = uint64(1)<<tagAttemptShift - 1
 )
 
 // stampTag encodes a submission's latency stamp into the ring tag.
-func stampTag(at sim.Time) uint64 { return (uint64(at) + 1) & tagStampMask }
+func stampTag(at sim.Time) uint64 { return uint64(at) & tagStampMask }
 
-// tagStamp extracts the latency stamp (0 = unstamped).
-func tagStamp(tag uint64) uint64 { return tag & tagStampMask }
+// tagStamp extracts the latency stamp.
+func tagStamp(tag uint64) sim.Time { return sim.Time(tag & tagStampMask) }
 
 // tagAttempt extracts the fault-retry attempt count.
 func tagAttempt(tag uint64) int { return int(tag >> tagAttemptShift) }
 
 // tagRetry returns the tag for the next attempt, stamp preserved.
-func tagRetry(tag uint64) uint64 {
-	return tagStamp(tag) | uint64(tagAttempt(tag)+1)<<tagAttemptShift
-}
+func tagRetry(tag uint64) uint64 { return tag + 1<<tagAttemptShift }
 
 // completed is the plane's completion hook (dsa.Completion.SetOnDone):
 // recover faulted completions within the policy's retry budget, then
-// score the stamped latency, decrement inflight, and wake waiters —
-// every wakeEvery-th completion, or immediately when the plane drains to
-// zero, mirroring how interrupt coalescing amortizes delivery.
+// settle the op, decrement inflight, and wake waiters — every
+// wakeEvery-th completion, or immediately when the plane drains to zero,
+// mirroring how interrupt coalescing amortizes delivery.
 func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 	rec := c.Record()
 	ok := rec.Status == dsa.StatusSuccess
@@ -582,20 +542,24 @@ func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 			return // remainder re-queued; the op is still in flight
 		}
 	}
-	if stamp := tagStamp(tag); stamp != 0 {
-		lat := pl.t.S.E.Now() - sim.Time(stamp-1)
-		if ok {
-			pl.t.recordSLO(lat)
-		} else {
-			pl.t.stats.failures.Add(1)
-		}
-		if pl.onLat != nil {
-			pl.onLat(lat, ok)
-		}
-	}
+	pl.settle(tag, ok)
 	left := pl.inflight.Add(-1)
 	if left == 0 || pl.compCount.Add(1)%pl.wakeEvery == 0 {
 		pl.doneSig.Broadcast(pl.t.S.E)
+	}
+}
+
+// settle ends one plane op: a terminal failure counts toward
+// Stats.Failures, the stamp-to-now latency settles through the tenant's
+// one outcome rule, and the OnCompletion observer sees the same outcome.
+func (pl *Plane) settle(tag uint64, ok bool) {
+	lat := pl.t.S.E.Now() - tagStamp(tag)
+	if !ok {
+		pl.t.stats.failures.Add(1)
+	}
+	pl.t.settle(lat, ok)
+	if pl.onLat != nil {
+		pl.onLat(lat, ok)
 	}
 }
 

@@ -118,8 +118,9 @@ type Policy struct {
 	// see the coalesce experiment — not recommended as an operating mode.
 	CoalesceAll bool
 
-	// Wait is the default completion mode for synchronous helpers and the
-	// compatibility shim: Poll, UMWait, or Interrupt (§4.4, Fig 11).
+	// Wait is the completion mode for waits no caller chooses: the
+	// pipeline driver's chain waits and synchronous interposers such as
+	// internal/dto. Poll, UMWait, or Interrupt (§4.4, Fig 11).
 	Wait WaitMode
 
 	// MaxRetries bounds full-WQ submission retries. Negative means retry
@@ -152,9 +153,11 @@ type Policy struct {
 
 	// SLOBudget, when positive, is the tenant's per-operation completion
 	// latency budget — the per-QoS-class p99 target the fleet scenarios
-	// gate on. Every resolved operation (hardware, software, plane- or
-	// pipeline-submitted) is scored against it on Stats.SLOOk/SLOMiss.
-	// Pure accounting: the budget never changes scheduling or admission.
+	// gate on. Every accepted operation the caller sees (a Future's first
+	// Wait, a software-path op, a plane op's terminal completion) settles
+	// once: SLOOk when it succeeded within budget, SLOMiss when it was late
+	// or failed. Refused submissions never settle. Pure accounting: the
+	// budget never changes scheduling or admission.
 	SLOBudget time.Duration
 
 	// Flags is OR-ed into every hardware descriptor (cache control,
@@ -191,7 +194,7 @@ type Stats struct {
 	Batches  int64 // batch descriptors submitted (explicit and auto)
 	Coalesce int64 // operations absorbed into auto-batches
 	Splits   int64 // per-socket sub-batches created from mixed-home flushes
-	Failures int64 // submissions or completions that returned errors
+	Failures int64 // refused submissions and terminal failed records (a retried attempt is not one)
 	Shed     int64 // logical flushes rejected by admission control
 	Delayed  int64 // logical flushes delayed by admission control
 
@@ -209,10 +212,11 @@ type Stats struct {
 	// window-over-window p99/rate deltas).
 	Drifts int64
 
-	// SLOOk/SLOMiss score every resolved operation against the tenant's
-	// Policy.SLOBudget (both zero when the policy sets no budget). The
-	// fleet driver reads them as a cross-check of its own per-class
-	// latency sketches.
+	// SLOOk/SLOMiss settle every accepted, caller-visible operation once
+	// against Policy.SLOBudget: ok when it succeeded within budget, a miss
+	// when it was late or failed (both zero without a budget). The fleet
+	// driver reads them as a cross-check of its own per-class latency
+	// sketches.
 	SLOOk   int64
 	SLOMiss int64
 

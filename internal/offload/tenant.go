@@ -89,14 +89,15 @@ func (t *Tenant) Close(p *sim.Proc) error {
 // Closed reports whether the tenant has been retired with Close.
 func (t *Tenant) Closed() bool { return t.closed.Load() }
 
-// recordSLO scores one completed operation's latency against the tenant's
-// SLO budget. No-op without a budget.
-func (t *Tenant) recordSLO(d sim.Time) {
+// settle is the one outcome rule: an accepted operation the caller sees
+// settles exactly once, SLOOk when it succeeded within Policy.SLOBudget
+// and SLOMiss when it was late or failed. No-op without a budget.
+func (t *Tenant) settle(lat sim.Time, ok bool) {
 	b := sim.Time(t.policy.SLOBudget)
 	if b <= 0 {
 		return
 	}
-	if d <= b {
+	if ok && lat <= b {
 		t.stats.sloOk.Add(1)
 	} else {
 		t.stats.sloMiss.Add(1)
@@ -208,43 +209,61 @@ func On(path Path) OpOption { return func(c *submitCfg) { c.path = path } }
 // NoBatch bypasses the AutoBatcher for this operation.
 func NoBatch() OpOption { return func(c *submitCfg) { c.noBatch = true } }
 
-// admit applies the tenant's token bucket to one hardware submission:
-// admitted immediately, delayed until a token accrues (Policy.AdmitWait),
-// or shed with ErrAdmission.
-func (t *Tenant) admit(p *sim.Proc) error {
-	if t.closed.Load() {
-		return fmt.Errorf("offload: %w", ErrTenantClosed)
-	}
-	ok, wait := t.bucket.take(p.Now(), t.policy.AdmitRate, t.policy.AdmitBurst)
-	if ok {
-		return nil
-	}
-	if !t.policy.AdmitWait {
-		t.stats.shed.Add(1)
-		return fmt.Errorf("offload: tenant over %.0f ops/s (burst %d): %w",
-			t.policy.AdmitRate, t.policy.AdmitBurst, ErrAdmission)
-	}
-	t.stats.delayed.Add(1)
-	// Fold the retry cadence into the tenant's interrupt-moderation window:
-	// waking the moment one token accrues burns one wakeup per delayed
-	// sub-batch, and each such wakeup delivers into a window that was going
-	// to close later anyway. Sleeping at least one coalescing window per
-	// retry batches the wakeups the same way deliveries are batched; the
-	// bucket keeps accruing while we sleep, so admitted throughput is
-	// unchanged. Non-coalescing tenants (count ≤ 1) keep the exact wait.
+// admit is the one admission decision. Ops, batches, AutoBatcher flushes
+// and pipelines charge the tenant's bucket (shards 1); a plane lane
+// charges its own bucket with a 1/shards share of the rate and burst (at
+// least one, so every lane can issue a back-to-back submission). A closed
+// tenant is refused. Over the limit the submission is shed with
+// ErrAdmission or, under Policy.AdmitWait, delayed until a token accrues;
+// Lane.TrySubmit has no process to park (p nil), so it can only shed.
+func (t *Tenant) admit(p *sim.Proc, now sim.Time, b *tokenBucket, shards int) error {
+	rate, burst := t.policy.AdmitRate/float64(shards), max(t.policy.AdmitBurst/shards, 1)
 	var floor sim.Time
-	if count, window := t.coalesceParams(); count > 1 {
-		floor = window
-	}
-	for !ok {
-		if wait < floor {
-			wait = floor
+	for waited := false; ; waited = true {
+		// Checked on every pass: an admission wait may sleep across a Close.
+		if t.closed.Load() {
+			return fmt.Errorf("offload: %w", ErrTenantClosed)
 		}
-		p.Sleep(wait)
+		ok, wait := b.take(now, rate, burst)
+		if ok {
+			return nil
+		}
+		if !waited {
+			if p == nil || !t.policy.AdmitWait {
+				t.stats.shed.Add(1)
+				return ErrAdmission
+			}
+			t.stats.delayed.Add(1)
+			// Fold the retry cadence into the tenant's interrupt-moderation
+			// window: waking the moment one token accrues burns one wakeup
+			// per delayed sub-batch, and each such wakeup delivers into a
+			// window that was going to close later anyway. Sleeping at least
+			// one coalescing window per retry batches the wakeups the same
+			// way deliveries are batched; the bucket keeps accruing while we
+			// sleep, so admitted throughput is unchanged. Non-coalescing
+			// tenants (count ≤ 1) keep the exact wait.
+			if count, window := t.coalesceParams(); count > 1 {
+				floor = window
+			}
+		}
+		p.Sleep(max(wait, floor))
 		t.stats.admitWakeups.Add(1)
-		ok, wait = t.bucket.take(p.Now(), t.policy.AdmitRate, t.policy.AdmitBurst)
+		now = p.Now()
 	}
-	return nil
+}
+
+// stamp binds a descriptor to the tenant before it reaches a WQ or ring:
+// the tenant's PASID, and the policy flags OR-ed in.
+func (t *Tenant) stamp(d *dsa.Descriptor) {
+	d.PASID = t.AS.PASID
+	d.Flags |= t.policy.Flags
+}
+
+// accepted counts one descriptor a WQ portal or plane ring took, carrying
+// bytes of payload (a batch parent's is its children's).
+func (t *Tenant) accepted(bytes int64) {
+	t.stats.hwOps.Add(1)
+	t.stats.hwBytes.Add(bytes)
 }
 
 // request builds the scheduler request for one descriptor, resolving the
