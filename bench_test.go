@@ -1,4 +1,4 @@
-package dsasim
+package dsasim_test
 
 // The benchmark harness: one testing.B benchmark per paper table/figure
 // (deliverable d). Each benchmark regenerates its artifact through
@@ -13,9 +13,9 @@ import (
 	"sync"
 	"testing"
 
+	"dsasim"
 	"dsasim/internal/dsa"
 	"dsasim/internal/exp"
-	"dsasim/internal/idxd"
 	"dsasim/internal/offload"
 	"dsasim/internal/sim"
 )
@@ -91,9 +91,9 @@ func BenchmarkSubmitContention(b *testing.B) {
 }
 
 func benchSubmitContention(b *testing.B, submitters int) {
-	pr := SPR()
-	pr.WQs = []idxd.WQSpec{{Mode: "shared", Size: 128}}
-	pl := NewPlatform(pr)
+	pr := dsasim.SPR()
+	pr.Groups = []dsa.GroupConfig{{Engines: 4, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 128}}}}
+	pl := benchPlatform(b, pr)
 	tn := pl.NewTenant()
 	plane, err := tn.NewPlane(submitters)
 	if err != nil {
@@ -152,13 +152,23 @@ func benchSubmitContention(b *testing.B, submitters int) {
 	drained.Wait()
 }
 
+// benchPlatform builds pr, failing the benchmark on a layout error.
+func benchPlatform(b *testing.B, pr dsasim.Profile) *dsasim.Platform {
+	b.Helper()
+	pl, err := dsasim.NewPlatform(pr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pl
+}
+
 // Device micro-benchmarks: virtual-time throughput of the model itself.
 // b.SetBytes reflects simulated payload per iteration, so MB/s measures
 // simulator speed (host work per simulated byte), while the reported
 // sim_GBps metric is the modelled device throughput.
 
 func benchDeviceCopy(b *testing.B, size int64, qd int) {
-	pl := NewPlatform(SPR())
+	pl := benchPlatform(b, dsasim.SPR())
 	tn := pl.NewTenant()
 	src := tn.Alloc(size)
 	dst := tn.Alloc(size)
@@ -205,7 +215,7 @@ func BenchmarkAblationReadBufs(b *testing.B) {
 	for _, bufs := range []int{8, 32, 96} {
 		bufs := bufs
 		b.Run(map[int]string{8: "bufs8", 32: "bufs32", 96: "bufs96"}[bufs], func(b *testing.B) {
-			pl := NewPlatform(SPR())
+			pl := benchPlatform(b, dsasim.SPR())
 			dev, err := pl.AddDevice("dsa-ab", 0, dsa.GroupConfig{
 				Engines:  4,
 				ReadBufs: bufs,
@@ -254,7 +264,7 @@ func BenchmarkAblationReadBufs(b *testing.B) {
 
 // Ablation: Auto-path threshold routing cost at the boundary.
 func BenchmarkAblationAutoThreshold(b *testing.B) {
-	pl := NewPlatform(SPR())
+	pl := benchPlatform(b, dsasim.SPR())
 	tn := pl.NewTenant()
 	src := tn.Alloc(8 << 10)
 	dst := tn.Alloc(8 << 10)

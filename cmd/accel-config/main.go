@@ -14,8 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
+	"dsasim"
 	"dsasim/internal/dsa"
 	"dsasim/internal/idxd"
 	"dsasim/internal/mem"
@@ -30,21 +30,19 @@ func fail(format string, args ...interface{}) {
 // newPlatform builds the simulated SPR platform with four discoverable but
 // unconfigured DSA instances, as a freshly booted system presents.
 func newPlatform() (*sim.Engine, *mem.System, *idxd.Registry) {
-	e := sim.New()
-	sys := mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 1,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-		},
-	})
-	reg := idxd.NewRegistry(e, sys)
+	pr := dsasim.SPR()
+	pr.DeviceSockets = nil // the driver discovers and configures them below
+	pl, err := dsasim.NewPlatform(pr)
+	if err != nil {
+		fail("platform: %v", err)
+	}
+	reg := idxd.NewRegistry(pl.E, pl.Sys)
 	for i := 0; i < 4; i++ {
 		if _, err := reg.Discover(fmt.Sprintf("dsa%d", i), 0); err != nil {
 			fail("discover: %v", err)
 		}
 	}
-	return e, sys, reg
+	return pl.E, pl.Sys, reg
 }
 
 func list(reg *idxd.Registry) {

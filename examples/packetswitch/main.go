@@ -20,7 +20,10 @@ func forwardingRate(mode vhost.Mode, pktSize int64) (float64, bool) {
 	// The QoS profile: each device exposes a reserved high-priority WQ
 	// that the PriorityAware scheduler hands to latency-sensitive tenants
 	// — packet forwarding is exactly that class of traffic.
-	pl := dsasim.NewPlatform(dsasim.SPRQoS())
+	pl, err := dsasim.NewPlatform(dsasim.SPRQoS())
+	if err != nil {
+		panic(err)
+	}
 	tn := pl.NewTenant(offload.WithClass(offload.LatencySensitive))
 	vq := vhost.NewVirtqueue(tn.AS, pl.Node(0), 256, 2048)
 	var wq *dsa.WQ

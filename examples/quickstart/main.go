@@ -13,7 +13,10 @@ import (
 )
 
 func main() {
-	pl := dsasim.NewPlatform(dsasim.SPR())
+	pl, err := dsasim.NewPlatform(dsasim.SPR())
+	if err != nil {
+		panic(err)
+	}
 	tn := pl.NewTenant()
 
 	const n = 1 << 20

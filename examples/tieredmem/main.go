@@ -28,7 +28,10 @@ const (
 // migrate moves n pages between tiers — page i from nodes(i)'s first node
 // to its second — and returns the total virtual time.
 func migrate(useDSA bool, nodes func(i int) (src, dst int)) sim.Time {
-	pl := dsasim.NewPlatform(dsasim.SPRPlacement())
+	pl, err := dsasim.NewPlatform(dsasim.SPRPlacement())
+	if err != nil {
+		panic(err)
+	}
 	// Page migration is background traffic: declare it Bulk so a QoS-aware
 	// scheduler would keep it off any reserved WQ, and let the adaptive
 	// threshold shed sub-threshold stragglers to the core if the device

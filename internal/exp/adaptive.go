@@ -1,10 +1,9 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
-	"dsasim/internal/dsa"
+	"dsasim"
 	"dsasim/internal/offload"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
@@ -101,34 +100,12 @@ func staticPol(count int, window time.Duration) offload.Policy {
 // adaptiveRig builds the SPR-Adaptive device layout: one DSA per socket,
 // each with an express/bulk shared-WQ pair and part of the group read
 // buffers reserved for the express lane, behind the placement-qos
-// scheduler.
+// scheduler. Tenants bring their own policies.
 func adaptiveRig() (*sim.Engine, *offload.Service) {
-	e := sim.New()
-	sys := sprSystem(e)
-	var wqs []*dsa.WQ
-	for socket := 0; socket < 2; socket++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig(fmt.Sprintf("dsa%d", socket), socket))
-		if _, err := dev.AddGroup(dsa.GroupConfig{
-			Engines:     4,
-			ExpressBufs: 24,
-			WQs: []dsa.WQConfig{
-				{Mode: dsa.Shared, Size: 8, Priority: 15},
-				{Mode: dsa.Shared, Size: 24, Priority: 5},
-			},
-		}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		wqs = append(wqs, dev.WQs()...)
-	}
-	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(offload.NewPlacementQoS()))
-	if err != nil {
-		panic(err)
-	}
-	return e, svc
+	pr := dsasim.SPRAdaptive()
+	pr.Policy = nil
+	pl := platform(pr)
+	return pl.E, pl.Offload
 }
 
 // streamRows flattens every telemetry digest into report rows at the

@@ -1,14 +1,17 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (§4, §6, appendices) on the simulated platform. Each experiment is a
 // self-contained function returning report tables with the same axes and
-// series as the paper's artifact; cmd/dsa-bench renders them and
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// series as the paper's artifact, on a platform built by dsasim.NewPlatform;
+// cmd/dsa-bench renders them. Paper-vs-measured shapes are asserted by the
+// G1–G6 guideline tests (guidelines_test.go) and the CI perf gates
+// (bench/baseline/gates.json).
 package exp
 
 import (
 	"fmt"
 	"time"
 
+	"dsasim"
 	"dsasim/internal/cpu"
 	"dsasim/internal/dif"
 	"dsasim/internal/dsa"
@@ -74,7 +77,9 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q", id)
 }
 
-// env is a fresh SPR platform for one measurement point.
+// env is a fresh SPR platform for one measurement point, driven through a
+// raw device client: its own address space and core, bound to every
+// device (the platform's offload service stays idle).
 type env struct {
 	e    *sim.Engine
 	sys  *mem.System
@@ -83,49 +88,34 @@ type env struct {
 	devs []*dsa.Device
 }
 
-// sprSystem builds the Table 2 SPR memory system.
-func sprSystem(e *sim.Engine) *mem.System {
-	return mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 2,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		UPILat:  70 * time.Nanosecond,
-		UPIGBps: 62,
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 1, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 0, Kind: mem.CXL, ReadLat: 250 * time.Nanosecond, WriteLat: 400 * time.Nanosecond, ReadGBps: 16, WriteGBps: 10},
-		},
-	})
+// platform brings up pr. Experiment rigs are fixed layouts, so a layout
+// error is a programming error.
+func platform(pr dsasim.Profile) *dsasim.Platform {
+	pl, err := dsasim.NewPlatform(pr)
+	if err != nil {
+		panic(err)
+	}
+	return pl
 }
 
-// newEnv builds a fresh environment with ndev devices, each configured with
-// the given groups (default: one group, 4 engines, one 32-entry DWQ).
+// newEnv builds a fresh environment with ndev socket-0 devices, each
+// configured with the given groups (default: the profile's one group of 4
+// engines and one 32-entry DWQ).
 func newEnv(ndev int, groups ...dsa.GroupConfig) *env {
-	e := sim.New()
-	sys := sprSystem(e)
+	pr := dsasim.SPR()
+	pr.DeviceSockets = make([]int, ndev)
+	pr.Groups = groups
+	return envOn(pr)
+}
+
+// envOn builds a fresh environment on profile pr.
+func envOn(pr dsasim.Profile) *env {
+	pl := platform(pr)
 	as := mem.NewAddressSpace(1)
-	core := cpu.NewCore(0, 0, sys, as, cpu.SPRModel())
-	v := &env{e: e, sys: sys, as: as, core: core}
-	if len(groups) == 0 {
-		groups = []dsa.GroupConfig{{
-			Engines: 4,
-			WQs:     []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}},
-		}}
-	}
-	for i := 0; i < ndev; i++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig(fmt.Sprintf("dsa%d", i), 0))
-		for _, g := range groups {
-			if _, err := dev.AddGroup(g); err != nil {
-				panic(err)
-			}
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
+	for _, dev := range pl.Devices {
 		dev.BindPASID(as)
-		v.devs = append(v.devs, dev)
 	}
-	return v
+	return &env{e: pl.E, sys: pl.Sys, as: as, core: cpu.NewCore(0, 0, pl.Sys, as, cpu.SPRModel()), devs: pl.Devices}
 }
 
 // node returns platform node i (0 local DRAM, 1 remote DRAM, 2 CXL).

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"dsasim"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/report"
@@ -156,22 +157,10 @@ func CBDMAComparison() []*report.Table {
 		dsaRes := v.runCopy(copyCfg{size: size, count: 120, qd: 32})
 		t.Set("DSA", float64(size), dsaRes.gbps)
 
-		e := sim.New()
-		sys := sprSystem(e)
-		cfg := dsa.DefaultConfig("cbdma0", 0)
-		cfg.Timing = dsa.CBDMATiming()
-		cfg.Engines = 1
-		dev := dsa.New(e, sys, cfg)
-		if _, err := dev.AddGroup(dsa.GroupConfig{Engines: 1, WQs: []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}}}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		as := mem.NewAddressSpace(1)
-		dev.BindPASID(as)
-		vb := &env{e: e, sys: sys, as: as}
-		vb.devs = []*dsa.Device{dev}
+		// ICX's CBDMA engine on the SPR memory system: only the device differs.
+		pr := dsasim.SPR()
+		pr.DeviceConfig = dsasim.ICX().DeviceConfig
+		vb := envOn(pr)
 		cbRes := vb.runCopy(copyCfg{size: size, count: 120, qd: 32})
 		t.Set("CBDMA", float64(size), cbRes.gbps)
 		if cbRes.gbps > 0 {

@@ -4,7 +4,7 @@ import (
 	"sort"
 	"time"
 
-	"dsasim/internal/dsa"
+	"dsasim"
 	"dsasim/internal/offload"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
@@ -58,40 +58,18 @@ func qosConfigs() []qosCfg {
 // qosP99 measures the latency-sensitive tenant's p99 completion latency
 // under cfg with bulkQD megabyte copies kept in flight by the bulk tenant.
 func qosP99(cfg qosCfg, bulkQD int) sim.Time {
-	e := sim.New()
-	sys := sprSystem(e)
-	dev := dsa.New(e, sys, dsa.DefaultConfig("dsa0", 0))
-	if _, err := dev.AddGroup(dsa.GroupConfig{
-		Engines: 4,
-		WQs: []dsa.WQConfig{
-			{Mode: dsa.Shared, Size: 8, Priority: 15},
-			{Mode: dsa.Shared, Size: 24, Priority: 5},
-		},
-	}); err != nil {
-		panic(err)
-	}
-	if err := dev.Enable(); err != nil {
-		panic(err)
-	}
-	svc, err := offload.NewService(e, sys, dev.WQs(),
-		offload.WithScheduler(cfg.sched()))
-	if err != nil {
-		panic(err)
-	}
+	pr := dsasim.SPRQoS()
+	pr.Scheduler = cfg.sched
+	pr.Policy = nil
+	pl := platform(pr)
+	e := pl.E
 
-	ls, err := svc.NewTenant(offload.OnSocket(0), offload.WithClass(offload.LatencySensitive))
-	if err != nil {
-		panic(err)
-	}
+	ls := pl.NewTenantOn(0, offload.WithClass(offload.LatencySensitive))
 	bulkPol := offload.DefaultPolicy()
 	bulkPol.AdmitRate = cfg.admitRate
 	bulkPol.AdmitBurst = 4
 	bulkPol.AdmitWait = true // backpressure the bulk stream, never error
-	bulk, err := svc.NewTenant(offload.OnSocket(0),
-		offload.WithClass(offload.Bulk), offload.TenantPolicy(bulkPol))
-	if err != nil {
-		panic(err)
-	}
+	bulk := pl.NewTenantOn(0, offload.WithClass(offload.Bulk), offload.TenantPolicy(bulkPol))
 
 	const (
 		lsOps  = 200

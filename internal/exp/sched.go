@@ -1,10 +1,7 @@
 package exp
 
 import (
-	"time"
-
-	"dsasim/internal/dsa"
-	"dsasim/internal/mem"
+	"dsasim"
 	"dsasim/internal/offload"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
@@ -41,7 +38,7 @@ func Sched() []*report.Table {
 		for _, size := range sizes {
 			pol := offload.DefaultPolicy()
 			pol.LoadAware = sc.loadAware
-			gbps := schedThroughput(sc.mk(), pol, size, 60)
+			gbps := schedThroughput(sc.mk, pol, size, 60)
 			t.Set(sc.name, float64(size), gbps)
 		}
 	}
@@ -52,41 +49,13 @@ func Sched() []*report.Table {
 
 // schedThroughput measures GB/s of a socket-0 tenant running count
 // synchronous copies under the given scheduler and policy.
-func schedThroughput(sched offload.Scheduler, pol offload.Policy, size int64, count int) float64 {
-	e := sim.New()
-	sys := mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 2,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		UPILat:  70 * time.Nanosecond,
-		UPIGBps: 62,
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 1, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-		},
-	})
-	var wqs []*dsa.WQ
-	for s := 0; s < 2; s++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig("dsa", s))
-		if _, err := dev.AddGroup(dsa.GroupConfig{
-			Engines: 4,
-			WQs:     []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}},
-		}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		wqs = append(wqs, dev.WQs()...)
-	}
-	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(sched), offload.WithPolicy(pol))
-	if err != nil {
-		panic(err)
-	}
-	tn, err := svc.NewTenant(offload.OnSocket(0))
-	if err != nil {
-		panic(err)
-	}
+func schedThroughput(sched func() offload.Scheduler, pol offload.Policy, size int64, count int) float64 {
+	pr := dsasim.SPR()
+	pr.DeviceSockets = []int{0, 1}
+	pr.Scheduler = sched
+	pr.Policy = &pol
+	pl := platform(pr)
+	e, tn := pl.E, pl.NewTenantOn(0)
 	src := tn.Alloc(size)
 	dst := tn.Alloc(size)
 	var end sim.Time

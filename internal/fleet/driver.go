@@ -93,11 +93,12 @@ func Run(sc Scenario) Result {
 }
 
 func newDriver(sc Scenario) *driver {
-	e, svc, devs := fleetRig()
-	d := &driver{sc: sc, e: e, svc: svc}
+	pl := fleetRig()
+	svc := pl.Offload
+	d := &driver{sc: sc, e: pl.E, svc: svc}
 	if sc.Faults != nil {
 		d.win = newWinTrack()
-		for di, dev := range devs {
+		for di, dev := range pl.Devices {
 			if _, err := dev.InjectFaults(sc.Faults.config(sc.Seed, di)); err != nil {
 				panic(err)
 			}

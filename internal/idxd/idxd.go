@@ -99,17 +99,6 @@ func (r *Registry) Discover(name string, socket int) (*Entry, error) {
 	return ent, nil
 }
 
-// Adopt registers an externally constructed device (custom Config).
-func (r *Registry) Adopt(dev *dsa.Device) (*Entry, error) {
-	name := dev.Cfg.Name
-	if _, ok := r.devs[name]; ok {
-		return nil, fmt.Errorf("idxd: device %q already registered", name)
-	}
-	ent := &Entry{Dev: dev, wqs: make(map[string]*dsa.WQ)}
-	r.devs[name] = ent
-	return ent, nil
-}
-
 // Get returns the entry for a device name.
 func (r *Registry) Get(name string) (*Entry, error) {
 	ent, ok := r.devs[name]
@@ -231,23 +220,6 @@ func (r *Registry) WQNames(device string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// EnabledWQs returns every WQ of every enabled device, in device-name order
-// — what DML's device discovery iterates.
-func (r *Registry) EnabledWQs() []*dsa.WQ {
-	var out []*dsa.WQ
-	for _, name := range r.Names() {
-		ent := r.devs[name]
-		if ent.State != Enabled {
-			continue
-		}
-		wqn, _ := r.WQNames(name)
-		for _, w := range wqn {
-			out = append(out, ent.wqs[w])
-		}
-	}
-	return out
 }
 
 // DefaultSpec returns the configuration the paper's microbenchmarks use: one

@@ -112,8 +112,16 @@ func TestConfigureJSON(t *testing.T) {
 	if err := r.Enable("dsa0"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(r.EnabledWQs()); got != 1 {
-		t.Fatalf("EnabledWQs = %d, want 1", got)
+	names, err := r.WQNames("dsa0")
+	if err != nil || len(names) != 1 || names[0] != "dsa0/wq0.0" {
+		t.Fatalf("WQNames = %v, %v; want [dsa0/wq0.0]", names, err)
+	}
+	wq, err := r.OpenWQ("dsa0", names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wq.Mode != dsa.Dedicated || wq.Size != 32 || len(wq.Dev.Groups()[0].Engines) != 4 {
+		t.Fatalf("WQ = %v/%d on %d engines, want dedicated/32 on 4", wq.Mode, wq.Size, len(wq.Dev.Groups()[0].Engines))
 	}
 }
 
@@ -138,27 +146,5 @@ func TestDuplicateDiscovery(t *testing.T) {
 	}
 	if got := r.Names(); len(got) != 1 || got[0] != "dsa0" {
 		t.Fatalf("Names = %v", got)
-	}
-}
-
-func TestEnabledWQsSkipsDisabled(t *testing.T) {
-	r := testRegistry(t)
-	for _, n := range []string{"dsa0", "dsa1"} {
-		if _, err := r.Discover(n, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Configure(DefaultSpec(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Enable("dsa1"); err != nil {
-		t.Fatal(err)
-	}
-	wqs := r.EnabledWQs()
-	if len(wqs) != 1 {
-		t.Fatalf("EnabledWQs = %d, want 1 (dsa0 not enabled)", len(wqs))
-	}
-	if wqs[0].Dev.Cfg.Name != "dsa1" {
-		t.Fatalf("wrong device: %s", wqs[0].Dev.Cfg.Name)
 	}
 }

@@ -4,10 +4,10 @@
 //
 // The package encodes the paper's software guidelines as policy rather than
 // code: G1 (batch small transfers) lives in the AutoBatcher, G2 (offload
-// asynchronously; below ~4 KB prefer the core) in Policy.OffloadThreshold —
-// made dynamic by Policy.AdaptiveThreshold, which feeds WQ occupancy and
-// completion-latency history back into the Auto-path decision — and the
-// placement findings of Figs 5–11 in the NUMALocal and LeastLoaded
+// asynchronously; below ~4 KB prefer the core) in the Auto path's 4 KB
+// threshold — made dynamic by Policy.AdaptiveThreshold, which feeds WQ
+// occupancy and completion-latency history back into the Auto-path
+// decision — and the placement findings of Figs 5–11 in the NUMALocal and LeastLoaded
 // schedulers. The §3.4 F3 QoS findings live in qos.go: tenants carry a
 // QoSClass, the PriorityAware scheduler reserves the highest-priority WQ
 // per socket for latency-sensitive tenants, and per-tenant token buckets

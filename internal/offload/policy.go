@@ -12,9 +12,9 @@ type Path int
 
 // Execution paths.
 const (
-	// Auto applies the tenant policy: offload at or above OffloadThreshold,
-	// coalesce smaller transfers when auto-batching is on, otherwise run
-	// them on the core (G1/G2).
+	// Auto applies the tenant policy: offload at or above the G2 threshold
+	// (Tenant.EffectiveThreshold), coalesce smaller transfers when
+	// auto-batching is on, otherwise run them on the core (G1/G2).
 	Auto Path = iota
 	// Hardware forces DSA execution.
 	Hardware
@@ -22,14 +22,14 @@ const (
 	Software
 )
 
+// offloadThreshold is the static G2 size floor: Auto-path operations below
+// it stay on the core (or enter the AutoBatcher when enabled). The paper
+// places the synchronous crossover near 4 KB (Fig 2a).
+const offloadThreshold = 4096
+
 // Policy is the tunable encoding of the paper's guidelines. The zero value
 // is not useful; start from DefaultPolicy.
 type Policy struct {
-	// OffloadThreshold is the G2 size floor: Auto-path operations below it
-	// stay on the core (or enter the AutoBatcher when enabled). The paper
-	// places the synchronous crossover near 4 KB (Fig 2a).
-	OffloadThreshold int64
-
 	// AdaptiveThreshold makes the G2 floor dynamic: WQ occupancy and
 	// completion-latency history feed back into the Auto-path decision, so
 	// a saturated device raises the effective threshold (shedding small
@@ -57,7 +57,7 @@ type Policy struct {
 	AdmitWait bool
 
 	// AutoBatch, when positive, enables transparent coalescing (G1): Auto-
-	// path copies and fills below OffloadThreshold queue in the tenant's
+	// path copies and fills below the G2 threshold queue in the tenant's
 	// AutoBatcher and flush as one batch descriptor once AutoBatch
 	// operations accumulate (or on Flush/Wait).
 	AutoBatch int
@@ -177,11 +177,10 @@ const DefaultCoalesceWindow = 8 * time.Microsecond
 // coalescing off, block-until-accepted submission, admission control off.
 func DefaultPolicy() Policy {
 	return Policy{
-		OffloadThreshold: 4096,
-		AutoBatch:        0,
-		SplitBatches:     true,
-		Wait:             Poll,
-		MaxRetries:       -1,
+		AutoBatch:    0,
+		SplitBatches: true,
+		Wait:         Poll,
+		MaxRetries:   -1,
 	}
 }
 

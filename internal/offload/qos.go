@@ -332,7 +332,7 @@ func (sv *Service) pressureOver(wqs []*dsa.WQ) float64 {
 }
 
 // EffectiveThreshold resolves the tenant's G2 size floor for this instant:
-// the static Policy.OffloadThreshold unless AdaptiveThreshold is set, in
+// the static 4 KB floor (Fig 2a) unless AdaptiveThreshold is set, in
 // which case device pressure scales it between half (idle) and
 // adaptMaxScale× (saturated) the base value. Under a tenant-socket-routed
 // scheduler the pressure read is the tenant's socket's (SocketPressure):
@@ -342,8 +342,8 @@ func (sv *Service) pressureOver(wqs []*dsa.WQ) float64 {
 // know, so it keeps the aggregate estimate rather than guessing a socket
 // that may not serve the operation.
 func (t *Tenant) EffectiveThreshold() int64 {
-	base := t.policy.OffloadThreshold
-	if !t.policy.AdaptiveThreshold || base <= 0 {
+	const base = offloadThreshold
+	if !t.policy.AdaptiveThreshold {
 		return base
 	}
 	p := t.S.Pressure()

@@ -5,10 +5,12 @@
 // The package bundles the building blocks under internal/ into platforms
 // matching the paper's evaluated systems (Table 2): a virtual-time engine,
 // a memory system (NUMA DRAM, CXL, LLC with DDIO), CPU cores running
-// software baselines, and one or more DSA (or CBDMA) device instances. The
-// experiment harness in internal/exp regenerates every figure and table of
-// the paper's evaluation on top of these platforms; cmd/dsa-bench renders
-// them.
+// software baselines, and one or more DSA (or CBDMA) device instances.
+// NewPlatform is the one bring-up path: every experiment rig in
+// internal/exp and internal/fleet, the commands and the examples describe
+// their machine as a Profile and build it here. The experiment harness
+// regenerates every figure and table of the paper's evaluation on top of
+// these platforms; cmd/dsa-bench renders them.
 //
 // Work is submitted through the unified offload API (internal/offload): the
 // platform owns an offload.Service whose pluggable Scheduler places each
@@ -26,7 +28,10 @@
 //
 // Quick start:
 //
-//	pl := dsasim.NewPlatform(dsasim.SPR())
+//	pl, err := dsasim.NewPlatform(dsasim.SPR())
+//	if err != nil {
+//	    log.Fatal(err)
+//	}
 //	tn := pl.NewTenant()
 //	pl.Run(func(p *sim.Proc) {
 //	    src := tn.Alloc(1 << 20)
@@ -43,41 +48,33 @@ import (
 
 	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
-	"dsasim/internal/idxd"
 	"dsasim/internal/mem"
 	"dsasim/internal/offload"
 	"dsasim/internal/sim"
 )
 
-// Profile describes a platform generation (Table 2).
+// Profile describes a platform generation (Table 2) and the device layout
+// the idxd stack configures on it (§3.3, §4.1).
 type Profile struct {
 	Name    string
-	Cores   int
 	LLC     mem.LLCConfig
 	UPILat  time.Duration
 	UPIGBps float64
 	Nodes   []mem.NodeConfig
 	CPU     cpu.Model
-	// Devices is the number of DMA devices to create and enable with the
-	// default group configuration (one group, all engines, one 32-entry
-	// dedicated WQ).
-	Devices int
-	// DeviceSockets optionally places device i on DeviceSockets[i]
-	// (devices beyond the list keep DeviceConfig.Socket). Placement-aware
-	// profiles use it to put one DSA on each socket.
+	// DeviceSockets creates one device per entry, on that socket, named
+	// DeviceConfig.Name followed by its index. Placement-aware profiles
+	// list one DSA per socket; nil builds a CPU-only platform.
 	DeviceSockets []int
 	// DeviceConfig templates each device (socket/name are overridden).
 	DeviceConfig dsa.Config
-	// WQs overrides the per-device work-queue layout (one group holding
-	// these queues). Empty means the default single 32-entry dedicated WQ.
-	// QoS profiles use this to expose a reserved high-priority WQ next to
-	// a bulk one (§3.4 F3).
-	WQs []idxd.WQSpec
-	// ExpressReadBufs reserves this many of each device group's read
-	// buffers for its top-priority WQs (§3.4 F3): express reads draw
-	// bandwidth from the reserved share and never queue behind bulk
-	// floods. Zero leaves the group's read pipe shared.
-	ExpressReadBufs int
+	// Groups is every device's group/WQ layout. Nil means the paper's
+	// default (§4.1): one group holding all DeviceConfig.Engines engines
+	// and one 32-entry dedicated WQ. QoS profiles use it to expose a
+	// reserved high-priority WQ next to a bulk one, and to reserve part
+	// of the group's read buffers for it (GroupConfig.ExpressBufs, §3.4
+	// F3).
+	Groups []dsa.GroupConfig
 	// Scheduler builds the offload service's WQ-selection policy
 	// (default: offload.NewRoundRobin).
 	Scheduler func() offload.Scheduler
@@ -88,11 +85,10 @@ type Profile struct {
 
 // SPR returns the Sapphire Rapids profile: 56 cores, 105 MB LLC, eight DDR5
 // channels, CXL 1.1 support (modelled as a CPU-less NUMA node), and up to
-// four DSA instances (Table 2, Fig 10).
+// four DSA instances (Table 2, Fig 10), of which it enables one.
 func SPR() Profile {
 	return Profile{
 		Name:    "SPR",
-		Cores:   56,
 		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
 		UPILat:  70 * time.Nanosecond,
 		UPIGBps: 62,
@@ -101,10 +97,25 @@ func SPR() Profile {
 			{Socket: 1, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
 			{Socket: 0, Kind: mem.CXL, ReadLat: 250 * time.Nanosecond, WriteLat: 400 * time.Nanosecond, ReadGBps: 16, WriteGBps: 10},
 		},
-		CPU:          cpu.SPRModel(),
-		Devices:      1,
-		DeviceConfig: dsa.DefaultConfig("dsa", 0),
+		CPU:           cpu.SPRModel(),
+		DeviceSockets: []int{0},
+		DeviceConfig:  dsa.DefaultConfig("dsa", 0),
 	}
+}
+
+// qosGroups is the QoS profiles' device layout: one four-engine group
+// with a small high-priority shared WQ (the express lane) next to a
+// larger bulk shared WQ, reserving expressBufs of the group's read
+// buffers for the express lane.
+func qosGroups(expressBufs int) []dsa.GroupConfig {
+	return []dsa.GroupConfig{{
+		Engines:     4,
+		ExpressBufs: expressBufs,
+		WQs: []dsa.WQConfig{
+			{Mode: dsa.Shared, Size: 8, Priority: 15},
+			{Mode: dsa.Shared, Size: 24, Priority: 5},
+		},
+	}}
 }
 
 // SPRQoS returns the SPR profile configured for QoS-aware offload: each
@@ -116,10 +127,7 @@ func SPR() Profile {
 func SPRQoS() Profile {
 	pr := SPR()
 	pr.Name = "SPR-QoS"
-	pr.WQs = []idxd.WQSpec{
-		{Mode: "shared", Size: 8, Priority: 15},
-		{Mode: "shared", Size: 24, Priority: 5},
-	}
+	pr.Groups = qosGroups(0)
 	pr.Scheduler = func() offload.Scheduler { return offload.NewPriorityAware() }
 	pol := offload.DefaultPolicy()
 	pol.AdaptiveThreshold = true
@@ -138,7 +146,6 @@ func SPRQoS() Profile {
 func SPRPlacement() Profile {
 	pr := SPR()
 	pr.Name = "SPR-Placement"
-	pr.Devices = 2
 	pr.DeviceSockets = []int{0, 1}
 	pr.Scheduler = func() offload.Scheduler { return offload.NewPlacement() }
 	return pr
@@ -198,13 +205,8 @@ func SPRCoalesce() Profile {
 func SPRAdaptive() Profile {
 	pr := SPR()
 	pr.Name = "SPR-Adaptive"
-	pr.Devices = 2
 	pr.DeviceSockets = []int{0, 1}
-	pr.WQs = []idxd.WQSpec{
-		{Mode: "shared", Size: 8, Priority: 15},
-		{Mode: "shared", Size: 24, Priority: 5},
-	}
-	pr.ExpressReadBufs = 24
+	pr.Groups = qosGroups(24)
 	pr.Scheduler = func() offload.Scheduler { return offload.NewPlacementQoS() }
 	pol := offload.DefaultPolicy()
 	pol.AdaptiveThreshold = true
@@ -225,7 +227,6 @@ func ICX() Profile {
 	cfg.Engines = 1 // one logical channel used per the paper's methodology
 	return Profile{
 		Name:    "ICX",
-		Cores:   40,
 		LLC:     mem.LLCConfig{Capacity: 57 << 20, Ways: 12, DDIOWays: 2},
 		UPILat:  75 * time.Nanosecond,
 		UPIGBps: 50,
@@ -233,89 +234,85 @@ func ICX() Profile {
 			{Socket: 0, Kind: mem.DRAM, ReadLat: 120 * time.Nanosecond, WriteLat: 120 * time.Nanosecond, ReadGBps: 100, WriteGBps: 75},
 			{Socket: 1, Kind: mem.DRAM, ReadLat: 120 * time.Nanosecond, WriteLat: 120 * time.Nanosecond, ReadGBps: 100, WriteGBps: 75},
 		},
-		CPU:          cpu.ICXModel(),
-		Devices:      1,
-		DeviceConfig: cfg,
+		CPU:           cpu.ICXModel(),
+		DeviceSockets: []int{0},
+		DeviceConfig:  cfg,
 	}
 }
 
 // Platform is a constructed system ready to run workloads.
 type Platform struct {
-	Profile  Profile
-	E        *sim.Engine
-	Sys      *mem.System
-	Registry *idxd.Registry
-	Devices  []*dsa.Device
+	Profile Profile
+	E       *sim.Engine
+	Sys     *mem.System
+	Devices []*dsa.Device
 
-	// Offload is the platform's submission service: every tenant and
-	// workspace submits through it, and its Scheduler owns device/WQ
-	// placement.
+	// Offload is the platform's submission service: every tenant submits
+	// through it, and its Scheduler owns device/WQ placement.
 	Offload *offload.Service
 }
 
-// NewPlatform builds and enables a platform from profile.
-func NewPlatform(pr Profile) *Platform {
+// NewPlatform builds a platform from profile: the engine, the memory
+// system, then every device of Profile.DeviceSockets configured with
+// Profile.Groups, enabled, and registered with the offload service. A
+// device layout the idxd driver would reject (engine or WQ overcommit, an
+// empty group, a zero-size WQ, an express share leaving no bulk read
+// buffers) is returned as an error.
+func NewPlatform(pr Profile) (*Platform, error) {
 	e := sim.New()
-	sys := mem.NewSystem(e, mem.SystemConfig{
-		Sockets:  2,
-		LLC:      pr.LLC,
-		UPILat:   pr.UPILat,
-		UPIGBps:  pr.UPIGBps,
-		NodeDefs: pr.Nodes,
-	})
 	pl := &Platform{
-		Profile:  pr,
-		E:        e,
-		Sys:      sys,
-		Registry: idxd.NewRegistry(e, sys),
+		Profile: pr,
+		E:       e,
+		Sys: mem.NewSystem(e, mem.SystemConfig{
+			Sockets:  2,
+			LLC:      pr.LLC,
+			UPILat:   pr.UPILat,
+			UPIGBps:  pr.UPIGBps,
+			NodeDefs: pr.Nodes,
+		}),
 	}
-	for i := 0; i < pr.Devices; i++ {
-		cfg := pr.DeviceConfig
-		cfg.Name = fmt.Sprintf("%s%d", pr.DeviceConfig.Name, i)
-		if i < len(pr.DeviceSockets) {
-			cfg.Socket = pr.DeviceSockets[i]
-		}
-		dev := dsa.New(e, sys, cfg)
-		ent, err := pl.Registry.Adopt(dev)
-		if err != nil {
-			panic(err)
-		}
-		wqspecs := pr.WQs
-		if len(wqspecs) == 0 {
-			wqspecs = []idxd.WQSpec{{Mode: "dedicated", Size: 32}}
-		}
-		spec := idxd.DeviceSpec{
-			Name: cfg.Name,
-			Groups: []idxd.GroupSpec{{
-				Engines:     cfg.Engines,
-				ExpressBufs: pr.ExpressReadBufs,
-				WQs:         wqspecs,
-			}},
-		}
-		if err := pl.Registry.Configure(spec); err != nil {
-			panic(err)
-		}
-		if err := pl.Registry.Enable(cfg.Name); err != nil {
-			panic(err)
-		}
-		pl.Devices = append(pl.Devices, ent.Dev)
+	groups := pr.Groups
+	if groups == nil {
+		groups = []dsa.GroupConfig{{
+			Engines: pr.DeviceConfig.Engines,
+			WQs:     []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}},
+		}}
 	}
-	var wqs []*dsa.WQ
-	for _, dev := range pl.Devices {
-		wqs = append(wqs, dev.WQs()...)
+	for i, socket := range pr.DeviceSockets {
+		if _, err := pl.AddDevice(fmt.Sprintf("%s%d", pr.DeviceConfig.Name, i), socket, groups...); err != nil {
+			return nil, err
+		}
 	}
-	// A device-less profile (CPU-only baseline) constructs fine; the
-	// service comes up with the first device (here or via AddDevice), and
-	// tenant creation fails until then — matching the legacy behavior of
-	// failing at workspace creation, not platform construction.
-	if len(wqs) > 0 {
-		pl.initService(wqs)
-	}
-	return pl
+	return pl, nil
 }
 
-// initService builds the offload service from the profile knobs.
-func (pl *Platform) initService(wqs []*dsa.WQ) {
+// AddDevice creates a uniquely named device from the profile's template,
+// configures the given groups, enables it, registers its WQs with the
+// offload service (bringing the service up with the platform's first
+// device), and returns it.
+func (pl *Platform) AddDevice(name string, socket int, groups ...dsa.GroupConfig) (*dsa.Device, error) {
+	for _, d := range pl.Devices {
+		if d.Cfg.Name == name {
+			return nil, fmt.Errorf("dsasim: device %q already exists", name)
+		}
+	}
+	cfg := pl.Profile.DeviceConfig
+	cfg.Name = name
+	cfg.Socket = socket
+	dev := dsa.New(pl.E, pl.Sys, cfg)
+	for _, g := range groups {
+		if _, err := dev.AddGroup(g); err != nil {
+			return nil, fmt.Errorf("dsasim: %s: %w", name, err)
+		}
+	}
+	if err := dev.Enable(); err != nil {
+		return nil, fmt.Errorf("dsasim: %s: %w", name, err)
+	}
+	pl.Devices = append(pl.Devices, dev)
+	if pl.Offload != nil {
+		pl.Offload.AddWQs(dev.WQs()...)
+		return dev, nil
+	}
 	opts := []offload.ServiceOption{offload.WithCPUModel(pl.Profile.CPU)}
 	if pl.Profile.Scheduler != nil {
 		opts = append(opts, offload.WithScheduler(pl.Profile.Scheduler()))
@@ -323,38 +320,11 @@ func (pl *Platform) initService(wqs []*dsa.WQ) {
 	if pl.Profile.Policy != nil {
 		opts = append(opts, offload.WithPolicy(*pl.Profile.Policy))
 	}
-	svc, err := offload.NewService(pl.E, pl.Sys, wqs, opts...)
+	svc, err := offload.NewService(pl.E, pl.Sys, dev.WQs(), opts...)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	pl.Offload = svc
-}
-
-// AddDevice creates, configures, and enables an additional device with a
-// custom group layout, registering its WQs with the offload service, and
-// returns it.
-func (pl *Platform) AddDevice(name string, socket int, groups ...dsa.GroupConfig) (*dsa.Device, error) {
-	cfg := pl.Profile.DeviceConfig
-	cfg.Name = name
-	cfg.Socket = socket
-	dev := dsa.New(pl.E, pl.Sys, cfg)
-	for _, g := range groups {
-		if _, err := dev.AddGroup(g); err != nil {
-			return nil, err
-		}
-	}
-	if err := dev.Enable(); err != nil {
-		return nil, err
-	}
-	if _, err := pl.Registry.Adopt(dev); err != nil {
-		return nil, err
-	}
-	pl.Devices = append(pl.Devices, dev)
-	if pl.Offload == nil {
-		pl.initService(dev.WQs())
-	} else {
-		pl.Offload.AddWQs(dev.WQs()...)
-	}
 	return dev, nil
 }
 

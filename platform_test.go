@@ -2,6 +2,7 @@ package dsasim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"dsasim/internal/dsa"
@@ -11,8 +12,100 @@ import (
 	"dsasim/internal/telemetry"
 )
 
+// newPlatform builds pr, failing the test on a layout error.
+func newPlatform(t testing.TB, pr Profile) *Platform {
+	t.Helper()
+	pl, err := NewPlatform(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// TestNewPlatformLayouts drives the one bring-up path with device layouts
+// the idxd driver rejects — each must come back as an error, not a panic
+// or a half-built platform — and with valid layouts, which must build
+// exactly the devices, sockets, engines and WQs the profile lists.
+func TestNewPlatformLayouts(t *testing.T) {
+	dwq := []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 16, Priority: 7}}
+	cases := []struct {
+		name    string
+		sockets []int
+		groups  []dsa.GroupConfig
+		wantErr bool
+	}{
+		{"engine overcommit", []int{0}, []dsa.GroupConfig{
+			{Engines: 3, WQs: dwq}, {Engines: 2, WQs: dwq}}, true},
+		{"zero-size WQ", []int{0}, []dsa.GroupConfig{
+			{Engines: 4, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 0}}}}, true},
+		{"group without WQs", []int{0}, []dsa.GroupConfig{{Engines: 4}}, true},
+		{"express share leaves no bulk read buffers", []int{0}, []dsa.GroupConfig{
+			{Engines: 4, ReadBufs: 16, ExpressBufs: 16, WQs: dwq}}, true},
+		{"WQ entry overcommit", []int{0}, []dsa.GroupConfig{
+			{Engines: 4, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 128}, {Mode: dsa.Shared, Size: 1}}}}, true},
+		{"CPU only", nil, nil, false},
+		{"two sockets, two groups", []int{0, 1, 1}, []dsa.GroupConfig{
+			{Engines: 1, ReadBufs: 32, ExpressBufs: 8, WQs: []dsa.WQConfig{
+				{Mode: dsa.Shared, Size: 8, Priority: 15},
+				{Mode: dsa.Shared, Size: 24, Priority: 5},
+			}},
+			{Engines: 3, WQs: dwq},
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pr := SPR()
+			pr.DeviceSockets = tc.sockets
+			pr.Groups = tc.groups
+			pl, err := NewPlatform(pr)
+			if tc.wantErr {
+				if err == nil || pl != nil {
+					t.Fatalf("NewPlatform: platform built %v, err %v; want no platform and an error", pl != nil, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pl.Devices) != len(tc.sockets) {
+				t.Fatalf("devices = %d, want %d", len(pl.Devices), len(tc.sockets))
+			}
+			nwq := 0
+			for i, dev := range pl.Devices {
+				if want := fmt.Sprintf("dsa%d", i); dev.Cfg.Name != want || dev.Cfg.Socket != tc.sockets[i] || !dev.Enabled() {
+					t.Fatalf("device %d = %s on socket %d (enabled %v), want enabled %s on socket %d",
+						i, dev.Cfg.Name, dev.Cfg.Socket, dev.Enabled(), want, tc.sockets[i])
+				}
+				if len(dev.Groups()) != len(tc.groups) {
+					t.Fatalf("%s groups = %d, want %d", dev.Cfg.Name, len(dev.Groups()), len(tc.groups))
+				}
+				for gi, g := range dev.Groups() {
+					gc := tc.groups[gi]
+					if len(g.Engines) != gc.Engines || len(g.WQs) != len(gc.WQs) {
+						t.Fatalf("%s group %d = %d engines, %d WQs; want %d, %d",
+							dev.Cfg.Name, gi, len(g.Engines), len(g.WQs), gc.Engines, len(gc.WQs))
+					}
+					for wi, wq := range g.WQs {
+						if wc := gc.WQs[wi]; wq.Mode != wc.Mode || wq.Size != wc.Size || wq.Priority != wc.Priority {
+							t.Fatalf("%s group %d WQ %d = %v/%d/prio %d, want %v/%d/prio %d",
+								dev.Cfg.Name, gi, wi, wq.Mode, wq.Size, wq.Priority, wc.Mode, wc.Size, wc.Priority)
+						}
+					}
+					nwq += len(g.WQs)
+				}
+			}
+			switch {
+			case nwq == 0 && pl.Offload != nil:
+				t.Fatal("device-less platform brought up an offload service")
+			case nwq > 0 && len(pl.Offload.WQs()) != nwq:
+				t.Fatalf("offload service sees %d WQs, want %d", len(pl.Offload.WQs()), nwq)
+			}
+		})
+	}
+}
+
 func TestSPRPlatformBasics(t *testing.T) {
-	pl := NewPlatform(SPR())
+	pl := newPlatform(t, SPR())
 	if len(pl.Devices) != 1 {
 		t.Fatalf("devices = %d, want 1", len(pl.Devices))
 	}
@@ -47,7 +140,7 @@ func TestSPRPlatformBasics(t *testing.T) {
 }
 
 func TestICXPlatformUsesCBDMA(t *testing.T) {
-	pl := NewPlatform(ICX())
+	pl := newPlatform(t, ICX())
 	if pl.Devices[0].Cfg.Engines != 1 {
 		t.Fatalf("ICX CBDMA engines = %d, want 1", pl.Devices[0].Cfg.Engines)
 	}
@@ -69,7 +162,7 @@ func TestICXPlatformUsesCBDMA(t *testing.T) {
 }
 
 func TestAddDeviceCustomGroups(t *testing.T) {
-	pl := NewPlatform(SPR())
+	pl := newPlatform(t, SPR())
 	dev, err := pl.AddDevice("dsa-extra", 0, dsa.GroupConfig{
 		Engines: 2,
 		WQs:     []dsa.WQConfig{{Mode: dsa.Shared, Size: 16}},
@@ -83,10 +176,16 @@ func TestAddDeviceCustomGroups(t *testing.T) {
 	if len(pl.Devices) != 2 {
 		t.Fatalf("devices = %d, want 2", len(pl.Devices))
 	}
+	if _, err := pl.AddDevice("dsa-extra", 1, dsa.GroupConfig{
+		Engines: 1,
+		WQs:     []dsa.WQConfig{{Mode: dsa.Shared, Size: 16}},
+	}); err == nil {
+		t.Fatal("AddDevice accepted a duplicate device name")
+	}
 }
 
 func TestTenantsAreIsolated(t *testing.T) {
-	pl := NewPlatform(SPR())
+	pl := newPlatform(t, SPR())
 	t1 := pl.NewTenant()
 	t2 := pl.NewTenant()
 	if t1.AS.PASID == t2.AS.PASID {
@@ -100,7 +199,7 @@ func TestTenantsAreIsolated(t *testing.T) {
 }
 
 func TestMultiSocketTenant(t *testing.T) {
-	pl := NewPlatform(SPR())
+	pl := newPlatform(t, SPR())
 	tn := pl.NewTenantOn(1)
 	buf := tn.Alloc(4096)
 	if buf.Node.Socket != 1 {
@@ -109,7 +208,7 @@ func TestMultiSocketTenant(t *testing.T) {
 }
 
 func TestTenantOffloadAPI(t *testing.T) {
-	pl := NewPlatform(SPR())
+	pl := newPlatform(t, SPR())
 	tn := pl.NewTenant()
 	n := int64(1 << 20)
 	src := tn.Alloc(n)
@@ -139,7 +238,7 @@ func TestTenantOffloadAPI(t *testing.T) {
 }
 
 func TestTenantAllocOnCXLNode(t *testing.T) {
-	pl := NewPlatform(SPR())
+	pl := newPlatform(t, SPR())
 	tn := pl.NewTenant()
 	if b := tn.AllocOn(2, 4096); b.Node.Kind != mem.CXL {
 		t.Fatalf("AllocOn(2) landed on %v, want CXL", b.Node.Kind)
@@ -156,7 +255,7 @@ func sprSchedElapsed(t *testing.T, mk func() offload.Scheduler, count int) sim.T
 	t.Helper()
 	pr := SPR()
 	pr.Scheduler = mk
-	pl := NewPlatform(pr)
+	pl := newPlatform(t, pr)
 	if _, err := pl.AddDevice("dsa1", 1, dsa.GroupConfig{
 		Engines: 4,
 		WQs:     []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}},
@@ -190,7 +289,7 @@ func sprSchedElapsed(t *testing.T, mk func() offload.Scheduler, count int) sim.T
 // per-device express + bulk WQ layout, the PriorityAware scheduler, the
 // adaptive-threshold default policy, and class-aware tenant steering.
 func TestSPRQoSProfileWiring(t *testing.T) {
-	pl := NewPlatform(SPRQoS())
+	pl := newPlatform(t, SPRQoS())
 	wqs := pl.Offload.WQs()
 	if len(wqs) != 2 {
 		t.Fatalf("SPRQoS WQs = %d, want 2 (express + bulk)", len(wqs))
@@ -253,7 +352,7 @@ func TestSPRQoSProfileWiring(t *testing.T) {
 // a socket-0 tenant's copy between socket-1 buffers must land on the
 // socket-1 device, and a mixed-home batch must split across both.
 func TestSPRPlacementProfileWiring(t *testing.T) {
-	pl := NewPlatform(SPRPlacement())
+	pl := newPlatform(t, SPRPlacement())
 	if len(pl.Devices) != 2 {
 		t.Fatalf("devices = %d, want 2", len(pl.Devices))
 	}
@@ -318,7 +417,7 @@ func TestSPRPlacementProfileWiring(t *testing.T) {
 // placement layout with LoadAware defaulted on, so a burst against one
 // backlogged socket spills onto the idle socket's device.
 func TestSPRSkewProfileWiring(t *testing.T) {
-	pl := NewPlatform(SPRSkew())
+	pl := newPlatform(t, SPRSkew())
 	if len(pl.Devices) != 2 {
 		t.Fatalf("devices = %d, want 2", len(pl.Devices))
 	}
@@ -372,7 +471,7 @@ func TestSPRSkewProfileWiring(t *testing.T) {
 // telemetry plane live (streams registered, windows advancing) after a
 // burst of traffic.
 func TestSPRAdaptiveProfileWiring(t *testing.T) {
-	pl := NewPlatform(SPRAdaptive())
+	pl := newPlatform(t, SPRAdaptive())
 	if len(pl.Devices) != 2 {
 		t.Fatalf("devices = %d, want 2", len(pl.Devices))
 	}
@@ -445,7 +544,7 @@ func TestSchedulerComparisonOnSPR(t *testing.T) {
 // bulk tenant's window costing one delivery, and the latency-sensitive
 // bypass.
 func TestSPRCoalesceProfileWiring(t *testing.T) {
-	pl := NewPlatform(SPRCoalesce())
+	pl := newPlatform(t, SPRCoalesce())
 	pol := pl.Offload.Policy()
 	if pol.Wait != offload.Interrupt {
 		t.Fatalf("default wait mode = %v, want Interrupt", pol.Wait)
