@@ -7,7 +7,9 @@
 //
 //   - plain callbacks scheduled with At/After, and
 //   - cooperative processes (Proc) that read like straight-line code and
-//     park themselves on the clock or on Signals (see proc.go).
+//     park themselves on the clock or on Signals (see proc.go). Each runs
+//     as a coroutine the engine switches into directly; a park/resume
+//     round trip costs about 0.2 µs of host time (BenchmarkProcSwitch).
 //
 // Execution is fully deterministic: ties in timestamp are broken by a
 // monotonically increasing sequence number, and processes run one at a time

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -159,23 +160,110 @@ func TestProcInterleavingIsDeterministic(t *testing.T) {
 func TestSignalBroadcastWakesAll(t *testing.T) {
 	e := New()
 	var s Signal
-	woke := 0
+	var order []int
 	for i := 0; i < 4; i++ {
 		e.Go("waiter", func(p *Proc) {
-			p.Wait(&s)
-			woke++
+			for round := 0; round < 2; round++ {
+				p.Wait(&s)
+				order = append(order, i)
+			}
 		})
 	}
 	e.Go("signaller", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		if s.Waiters() != 4 {
-			t.Errorf("Waiters = %d, want 4", s.Waiters())
+		// Two rounds: the second reuses the waiter slice the first emptied.
+		for round := 0; round < 2; round++ {
+			p.Sleep(time.Microsecond)
+			if s.Waiters() != 4 {
+				t.Errorf("round %d: Waiters = %d, want 4", round, s.Waiters())
+			}
+			s.Broadcast(e)
+			if s.Waiters() != 0 {
+				t.Errorf("round %d: Waiters after Broadcast = %d, want 0", round, s.Waiters())
+			}
 		}
+	})
+	e.Run()
+	want := []int{0, 1, 2, 3, 0, 1, 2, 3} // wake order is wait order
+	if len(order) != len(want) {
+		t.Fatalf("woke %d times, want %d", len(order), len(want))
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("wake order %v, want %v", order, want)
+		}
+	}
+}
+
+// A Wait/Broadcast cycle must not allocate once the signal's waiter slice
+// has grown: every per-op completion record parks its waiter on a Signal.
+func TestSignalWaitBroadcastZeroAllocs(t *testing.T) {
+	e := New()
+	var s Signal
+	stop := false
+	for i := 0; i < 3; i++ { // one inline waiter and two in the slice
+		e.Go("waiter", func(p *Proc) {
+			for !stop {
+				p.Wait(&s)
+			}
+		})
+	}
+	var allocs float64
+	e.Go("signaller", func(p *Proc) {
+		cycle := func() {
+			p.Sleep(1) // the waiters park (again) before this returns
+			s.Broadcast(e)
+		}
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		allocs = testing.AllocsPerRun(100, cycle)
+		stop = true
+		p.Sleep(1)
 		s.Broadcast(e)
 	})
 	e.Run()
-	if woke != 4 {
-		t.Fatalf("woke = %d, want 4", woke)
+	if allocs != 0 {
+		t.Errorf("Wait/Broadcast cycle allocated %.1f times, want 0", allocs)
+	}
+}
+
+// A panic in a process body comes out of Run on the caller's goroutine with
+// its original value, also from a process started inside another's body.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ at Time }
+	cases := []struct {
+		name  string
+		start func(e *Engine)
+	}{
+		{"body", func(e *Engine) {
+			e.Go("p", func(p *Proc) {
+				p.Sleep(5)
+				panic(boom{p.Now()})
+			})
+		}},
+		{"spawned-in-body", func(e *Engine) {
+			e.Go("parent", func(p *Proc) {
+				p.Sleep(2)
+				e.Go("child", func(c *Proc) {
+					c.Sleep(3)
+					panic(boom{c.Now()})
+				})
+				p.Sleep(10) // still parked when the child panics
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			tc.start(e)
+			defer func() {
+				if got := recover(); got != (boom{5}) {
+					t.Fatalf("Run panicked with %v, want %v", got, boom{5})
+				}
+			}()
+			e.Run()
+			t.Fatal("Run returned without panicking")
+		})
 	}
 }
 
@@ -372,5 +460,39 @@ func TestProcSleepLoopZeroAllocs(t *testing.T) {
 	e.Run()
 	if allocs != 0 {
 		t.Errorf("Proc.Sleep allocated %.1f times per iteration, want 0", allocs)
+	}
+}
+
+// BenchmarkProcSwitch measures one park/resume round trip of a process
+// (Sleep(1): schedule, switch to the engine, pop, switch back), with 1 and
+// 64 processes live.
+func BenchmarkProcSwitch(b *testing.B) {
+	for _, n := range []int{1, 64} {
+		b.Run(fmt.Sprintf("procs-%d", n), func(b *testing.B) {
+			e := New()
+			per := (b.N + n - 1) / n
+			for i := 0; i < n; i++ {
+				e.Go("spinner", func(p *Proc) {
+					for j := 0; j < per; j++ {
+						p.Sleep(1)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
+}
+
+// BenchmarkProcSpawn measures starting a process and running it to
+// completion, the per-burst cost of the drain and pipeline processes.
+func BenchmarkProcSpawn(b *testing.B) {
+	e := New()
+	fn := func(p *Proc) { p.Sleep(1) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Go("burst", fn)
+		e.Run()
 	}
 }
