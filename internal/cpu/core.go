@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dsasim/internal/delta"
-	"dsasim/internal/dif"
 	"dsasim/internal/isal"
 	"dsasim/internal/mem"
 	"dsasim/internal/sim"
@@ -15,7 +13,9 @@ import (
 // routine performs the real operation on simulated memory and returns the
 // modelled execution time; it also charges LLC occupancy (cache pollution)
 // and memory-node bandwidth, which is how software copies degrade co-running
-// applications in Figs 12/13.
+// applications in Figs 12/13. The routines here are the ones callers run
+// without a descriptor; dsa.RunOnCore runs any other Table 1 operation on a
+// core through Charge.
 type Core struct {
 	ID     int
 	Socket int
@@ -27,17 +27,18 @@ type Core struct {
 	// model non-temporal (streaming) load/store variants.
 	NoPollute bool
 
+	owner  string
 	busy   sim.Time
 	umwait sim.Time
 }
 
 // NewCore creates a core on the given socket running address space as.
 func NewCore(id, socket int, sys *mem.System, as *mem.AddressSpace, m Model) *Core {
-	return &Core{ID: id, Socket: socket, Sys: sys, AS: as, M: m}
+	return &Core{ID: id, Socket: socket, Sys: sys, AS: as, M: m, owner: fmt.Sprintf("core%d", id)}
 }
 
 // Owner returns the LLC occupancy owner tag for this core.
-func (c *Core) Owner() string { return fmt.Sprintf("core%d", c.ID) }
+func (c *Core) Owner() string { return c.owner }
 
 // BusyTime returns cumulative modelled execution time.
 func (c *Core) BusyTime() sim.Time { return c.busy }
@@ -58,26 +59,20 @@ func (c *Core) UMWait(d sim.Time) { c.umwait += d }
 // line is written (C0.2 exit, ~order of a hundred ns).
 const UMWaitWake = 150 * time.Nanosecond
 
-// operand describes one buffer operand of a routine for timing purposes.
-type operand struct {
-	addr  mem.Addr
-	n     int64
-	write bool
-}
-
-// routineTime computes the modelled duration of op over the given operands,
-// charges LLC pollution and node bandwidth, and accumulates busy time. When
-// the memory pipes are contended (other cores or devices streaming), the
-// returned duration stretches to the booked traffic's completion: a core
-// cannot copy faster than the memory system serves it.
-func (c *Core) routineTime(op Op, transfer int64, operands ...operand) sim.Time {
+// Charge computes the modelled duration of routine op moving transfer
+// bytes over the given spans, charges LLC pollution and node bandwidth, and
+// accumulates busy time. When the memory pipes are contended (other cores
+// or devices streaming), the returned duration stretches to the booked
+// traffic's completion: a core cannot copy faster than the memory system
+// serves it. Every span must be mapped.
+func (c *Core) Charge(op Op, transfer int64, spans ...mem.Span) sim.Time {
 	warm := true
 	mult := c.M.factor(op)
 	var lat time.Duration
 	start := c.Sys.E.Now()
 	var trafficDone sim.Time
-	for _, o := range operands {
-		buf, _, err := c.AS.Lookup(o.addr)
+	for _, sp := range spans {
+		buf, _, err := c.AS.Lookup(sp.Addr)
 		if err != nil {
 			panic(fmt.Sprintf("cpu: routine on unmapped address: %v", err))
 		}
@@ -88,20 +83,20 @@ func (c *Core) routineTime(op Op, transfer int64, operands ...operand) sim.Time 
 			// Medium penalties: the LD/ST path tolerates remote DRAM
 			// moderately but saturates the load-store queue on CXL (§5).
 			switch {
-			case buf.Node.Kind == mem.CXL && o.write:
+			case buf.Node.Kind == mem.CXL && sp.Write:
 				mult *= 0.22
 			case buf.Node.Kind == mem.CXL:
 				mult *= 0.35
-			case buf.Node.Socket != c.Socket && o.write:
+			case buf.Node.Socket != c.Socket && sp.Write:
 				mult *= 0.75
 			case buf.Node.Socket != c.Socket:
 				mult *= 0.85
 			}
-			if l := c.Sys.AccessLat(c.Socket, buf.Node, o.write); l > lat && !buf.CacheResident {
+			if l := c.Sys.AccessLat(c.Socket, buf.Node, sp.Write); l > lat && !buf.CacheResident {
 				lat = l
 			}
 			if !buf.CacheResident {
-				done := c.Sys.ReserveTraffic(c.Socket, buf.Node, o.n, o.write)
+				done := c.Sys.ReserveTraffic(c.Socket, buf.Node, sp.N, sp.Write)
 				if done > trafficDone {
 					trafficDone = done
 				}
@@ -110,7 +105,7 @@ func (c *Core) routineTime(op Op, transfer int64, operands ...operand) sim.Time 
 		if !c.NoPollute {
 			// Core loads and stores allocate into the LLC: this is the
 			// pollution DSA avoids (§4.5).
-			c.Sys.SocketOf(c.Socket).LLC.Insert(c.Owner(), o.n)
+			c.Sys.SocketOf(c.Socket).LLC.Insert(c.owner, sp.N)
 		}
 	}
 	curve := c.M.Cold
@@ -138,7 +133,7 @@ func (c *Core) Memcpy(dst, src mem.Addr, n int64) (sim.Time, error) {
 		return 0, err
 	}
 	copy(d, s)
-	return c.routineTime(OpMemcpy, n, operand{src, n, false}, operand{dst, n, true}), nil
+	return c.Charge(OpMemcpy, n, mem.Span{Addr: src, N: n}, mem.Span{Addr: dst, N: n, Write: true}), nil
 }
 
 // Memset fills n bytes at dst with the repeating 8-byte pattern.
@@ -148,34 +143,7 @@ func (c *Core) Memset(dst mem.Addr, n int64, pattern uint64) (sim.Time, error) {
 		return 0, err
 	}
 	isal.Fill(d, pattern)
-	return c.routineTime(OpMemset, n, operand{dst, n, true}), nil
-}
-
-// Memcmp compares n bytes at a and b, returning the first mismatch offset
-// and equality flag.
-func (c *Core) Memcmp(a, b mem.Addr, n int64) (off int64, equal bool, d sim.Time, err error) {
-	av, err := c.AS.View(a, n)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	bv, err := c.AS.View(b, n)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	off, equal = isal.Compare(av, bv)
-	d = c.routineTime(OpMemcmp, n, operand{a, n, false}, operand{b, n, false})
-	return off, equal, d, nil
-}
-
-// ComparePattern checks n bytes at src against the repeating pattern.
-func (c *Core) ComparePattern(src mem.Addr, n int64, pattern uint64) (off int64, equal bool, d sim.Time, err error) {
-	sv, err := c.AS.View(src, n)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	off, equal = isal.ComparePattern(sv, pattern)
-	d = c.routineTime(OpComparePattern, n, operand{src, n, false})
-	return off, equal, d, nil
+	return c.Charge(OpMemset, n, mem.Span{Addr: dst, N: n, Write: true}), nil
 }
 
 // CRC32 computes the seeded CRC-32 of n bytes at src (ISA-L style baseline).
@@ -185,142 +153,8 @@ func (c *Core) CRC32(src mem.Addr, n int64, seed uint32) (crc uint32, d sim.Time
 		return 0, 0, err
 	}
 	crc = isal.CRC32(seed, sv)
-	d = c.routineTime(OpCRC32, n, operand{src, n, false})
+	d = c.Charge(OpCRC32, n, mem.Span{Addr: src, N: n})
 	return crc, d, nil
-}
-
-// CopyCRC copies src to dst while computing the CRC-32 of the data.
-func (c *Core) CopyCRC(dst, src mem.Addr, n int64, seed uint32) (crc uint32, d sim.Time, err error) {
-	sv, err := c.AS.View(src, n)
-	if err != nil {
-		return 0, 0, err
-	}
-	dv, err := c.AS.View(dst, n)
-	if err != nil {
-		return 0, 0, err
-	}
-	copy(dv, sv)
-	crc = isal.CRC32(seed, sv)
-	d = c.routineTime(OpCopyCRC, n, operand{src, n, false}, operand{dst, n, true})
-	return crc, d, nil
-}
-
-// Dualcast copies n bytes from src to both dst1 and dst2.
-func (c *Core) Dualcast(dst1, dst2, src mem.Addr, n int64) (sim.Time, error) {
-	sv, err := c.AS.View(src, n)
-	if err != nil {
-		return 0, err
-	}
-	d1, err := c.AS.View(dst1, n)
-	if err != nil {
-		return 0, err
-	}
-	d2, err := c.AS.View(dst2, n)
-	if err != nil {
-		return 0, err
-	}
-	copy(d1, sv)
-	copy(d2, sv)
-	return c.routineTime(OpDualcast, n, operand{src, n, false}, operand{dst1, n, true}, operand{dst2, n, true}), nil
-}
-
-// DIFInsert generates protected blocks from raw data (see internal/dif).
-func (c *Core) DIFInsert(dst, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags) (sim.Time, error) {
-	sv, err := c.AS.View(src, n)
-	if err != nil {
-		return 0, err
-	}
-	outLen := n / int64(bs) * bs.Protected()
-	dv, err := c.AS.View(dst, outLen)
-	if err != nil {
-		return 0, err
-	}
-	if err := dif.Insert(dv, sv, bs, tags); err != nil {
-		return 0, err
-	}
-	return c.routineTime(OpDIFInsert, n, operand{src, n, false}, operand{dst, outLen, true}), nil
-}
-
-// DIFCheck verifies protected blocks at src.
-func (c *Core) DIFCheck(src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags) (sim.Time, error) {
-	sv, err := c.AS.View(src, n)
-	if err != nil {
-		return 0, err
-	}
-	d := c.routineTime(OpDIFCheck, n, operand{src, n, false})
-	return d, dif.Check(sv, bs, tags)
-}
-
-// DIFStrip verifies and removes PI from protected blocks.
-func (c *Core) DIFStrip(dst, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags) (sim.Time, error) {
-	sv, err := c.AS.View(src, n)
-	if err != nil {
-		return 0, err
-	}
-	outLen := n / bs.Protected() * int64(bs)
-	dv, err := c.AS.View(dst, outLen)
-	if err != nil {
-		return 0, err
-	}
-	if err := dif.Strip(dv, sv, bs, tags); err != nil {
-		return 0, err
-	}
-	return c.routineTime(OpDIFStrip, n, operand{src, n, false}, operand{dst, outLen, true}), nil
-}
-
-// DIFUpdate rewrites PI on protected blocks.
-func (c *Core) DIFUpdate(dst, src mem.Addr, n int64, bs dif.BlockSize, old, new dif.Tags) (sim.Time, error) {
-	sv, err := c.AS.View(src, n)
-	if err != nil {
-		return 0, err
-	}
-	dv, err := c.AS.View(dst, n)
-	if err != nil {
-		return 0, err
-	}
-	if err := dif.Update(dv, sv, bs, old, new); err != nil {
-		return 0, err
-	}
-	return c.routineTime(OpDIFUpdate, n, operand{src, n, false}, operand{dst, n, true}), nil
-}
-
-// DeltaCreate builds a delta record of the differences between orig and mod.
-func (c *Core) DeltaCreate(record, orig, mod mem.Addr, n, maxRecord int64) (used int64, d sim.Time, err error) {
-	ov, err := c.AS.View(orig, n)
-	if err != nil {
-		return 0, 0, err
-	}
-	mv, err := c.AS.View(mod, n)
-	if err != nil {
-		return 0, 0, err
-	}
-	rv, err := c.AS.View(record, maxRecord)
-	if err != nil {
-		return 0, 0, err
-	}
-	u, err := delta.Create(rv, ov, mv)
-	if err != nil {
-		return 0, 0, err
-	}
-	d = c.routineTime(OpDeltaCreate, 2*n,
-		operand{orig, n, false}, operand{mod, n, false}, operand{record, int64(u), true})
-	return int64(u), d, nil
-}
-
-// DeltaApply replays a delta record onto dst.
-func (c *Core) DeltaApply(dst, record mem.Addr, recordLen, dstLen int64) (sim.Time, error) {
-	dv, err := c.AS.View(dst, dstLen)
-	if err != nil {
-		return 0, err
-	}
-	rv, err := c.AS.View(record, recordLen)
-	if err != nil {
-		return 0, err
-	}
-	if err := delta.Apply(dv, rv, int(recordLen)); err != nil {
-		return 0, err
-	}
-	return c.routineTime(OpDeltaApply, recordLen, operand{record, recordLen, false}, operand{dst, recordLen, true}), nil
 }
 
 // Decompress inflates the n-byte compressed image at src into dst (at most
@@ -341,18 +175,7 @@ func (c *Core) Decompress(dst, src mem.Addr, n, maxDst int64) (int64, sim.Time, 
 	if err != nil {
 		return 0, 0, err
 	}
-	d := c.routineTime(OpDecompress, int64(m),
-		operand{src, n, false}, operand{dst, int64(m), true})
+	d := c.Charge(OpDecompress, int64(m),
+		mem.Span{Addr: src, N: n}, mem.Span{Addr: dst, N: int64(m), Write: true})
 	return int64(m), d, nil
-}
-
-// CacheFlush evicts the address range from the LLC (CLFLUSHOPT sweep).
-func (c *Core) CacheFlush(addr mem.Addr, n int64) (sim.Time, error) {
-	if _, _, err := c.AS.Lookup(addr); err != nil {
-		return 0, err
-	}
-	llc := c.Sys.SocketOf(c.Socket).LLC
-	llc.Evict(c.Owner(), n)
-	d := c.routineTime(OpCacheFlush, n)
-	return d, nil
 }

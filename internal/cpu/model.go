@@ -3,8 +3,13 @@
 // memset / memcmp, ISA-L-style CRC32) with empirically shaped cost curves,
 // LLC pollution side effects, and UMONITOR/UMWAIT wait-state accounting.
 //
-// Functional results come from the shared kernels in internal/isal so CPU
-// and DSA outputs are bit-identical; only the timing differs.
+// The package prices routines; it does not define operations. Core.Charge
+// is the one cost function: a routine (Op) over the memory spans it
+// touches. Core keeps only the routines callers run without a descriptor
+// (Memcpy, Memset, CRC32, Decompress); every other Table 1 operation runs
+// on a core through dsa.RunOnCore, which moves the bytes with the device's
+// own kernel and charges Charge over the device's own footprint, so CPU
+// and DSA outputs are bit-identical and only the timing differs.
 package cpu
 
 import (
@@ -63,7 +68,6 @@ const (
 	OpDIFUpdate
 	OpDeltaCreate
 	OpDeltaApply
-	OpCacheFlush
 	OpDecompress
 )
 
@@ -71,7 +75,7 @@ const (
 func (o Op) String() string {
 	names := [...]string{"memcpy", "memset", "memcmp", "compare_pattern", "crc32",
 		"copy_crc", "dualcast", "dif_check", "dif_insert", "dif_strip", "dif_update",
-		"delta_create", "delta_apply", "cache_flush", "decompress"}
+		"delta_create", "delta_apply", "decompress"}
 	if int(o) < len(names) {
 		return names[o]
 	}
@@ -129,7 +133,6 @@ func SPRModel() Model {
 			OpDIFUpdate:      0.65,
 			OpDeltaCreate:    0.7,
 			OpDeltaApply:     1.0,
-			OpCacheFlush:     2.0,  // CLFLUSHOPT sweep, no data movement
 			OpDecompress:     0.45, // igzip-style inflate: branchy decode per output byte
 		},
 	}

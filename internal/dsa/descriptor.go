@@ -7,7 +7,8 @@
 // The model is functional *and* timed: descriptors really move bytes in a
 // mem.AddressSpace (so results are verifiable), while a calibrated cost
 // model in timing.go produces the latency/throughput behaviour measured in
-// the paper's Figs 2–15.
+// the paper's Figs 2–15. RunOnCore runs the same descriptors on a simulated
+// core as the software baseline, through the same kernels and footprint.
 package dsa
 
 import (

@@ -80,7 +80,8 @@ func (eng *Engine) execute(wk *work) {
 		return
 	}
 
-	spans, err := spansOf(&wk.d)
+	var spanBuf [3]mem.Span
+	spans, err := spansOf(&wk.d, &spanBuf)
 	if err != nil {
 		eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
 		eng.free(now + issue)
@@ -89,10 +90,10 @@ func (eng *Engine) execute(wk *work) {
 
 	// Validate addresses up front (descriptor sanity, not faults).
 	for _, sp := range spans {
-		if sp.n == 0 {
+		if sp.N == 0 {
 			continue
 		}
-		if _, err := as.View(sp.addr, sp.n); err != nil {
+		if _, err := as.View(sp.Addr, sp.N); err != nil {
 			eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
 			eng.free(now + issue)
 			return
@@ -104,7 +105,7 @@ func (eng *Engine) execute(wk *work) {
 	// matters, Fig 8).
 	var trans sim.Time
 	if len(spans) > 0 {
-		trans = d.translate(wk.d.PASID, spans[0].addr)
+		trans = d.translate(wk.d.PASID, spans[0].Addr)
 	}
 
 	// Page faults.
@@ -113,11 +114,11 @@ func (eng *Engine) execute(wk *work) {
 	faulted := false
 	var faultAddr mem.Addr
 	for _, sp := range spans {
-		if sp.n == 0 {
+		if sp.N == 0 {
 			continue
 		}
 		for {
-			err := as.CheckMapped(sp.addr, sp.n)
+			err := as.CheckMapped(sp.Addr, sp.N)
 			if err == nil {
 				break
 			}
@@ -141,7 +142,7 @@ func (eng *Engine) execute(wk *work) {
 			// Partial completion at the faulting offset.
 			faulted = true
 			faultAddr = pf.Addr
-			if off := int64(pf.Addr - sp.addr); off < upTo {
+			if off := int64(pf.Addr - sp.Addr); off < upTo {
 				upTo = off
 			}
 			break
@@ -164,7 +165,7 @@ func (eng *Engine) execute(wk *work) {
 				faulted = true
 				upTo = off
 				if len(spans) > 0 {
-					faultAddr = spans[0].addr + mem.Addr(off)
+					faultAddr = spans[0].Addr + mem.Addr(off)
 				}
 				faultDelay += t.FaultReport
 			}
@@ -212,7 +213,7 @@ func (eng *Engine) execute(wk *work) {
 
 // reserveData books every shared resource the descriptor's data movement
 // needs, starting at dataStart, and returns the data completion instant.
-func (eng *Engine) reserveData(wk *work, spans []span, dataStart sim.Time) sim.Time {
+func (eng *Engine) reserveData(wk *work, spans []mem.Span, dataStart sim.Time) sim.Time {
 	g := eng.group
 	d := g.Dev
 	t := d.Cfg.Timing
@@ -221,34 +222,34 @@ func (eng *Engine) reserveData(wk *work, spans []span, dataStart sim.Time) sim.T
 	var readBytes, writeBytes int64
 	done := dataStart
 	for _, sp := range spans {
-		if sp.n == 0 {
+		if sp.N == 0 {
 			continue
 		}
-		buf, _, err := as.Lookup(sp.addr)
+		buf, _, err := as.Lookup(sp.Addr)
 		if err != nil {
 			continue
 		}
 		var spDone sim.Time
-		if buf.CacheResident && !sp.write {
+		if buf.CacheResident && !sp.Write {
 			// LLC-resident source: no memory traffic, short latency.
-			spDone = dataStart + llcLat + sim.GBps(sp.n, t.FabricGBps)
-			readBytes += sp.n
-		} else if sp.write {
-			writeBytes += sp.n
-			memBytes := sp.n
+			spDone = dataStart + llcLat + sim.GBps(sp.N, t.FabricGBps)
+			readBytes += sp.N
+		} else if sp.Write {
+			writeBytes += sp.N
+			memBytes := sp.N
 			start := dataStart
 			if buf.CacheResident {
 				// Fig 15 "L" destination: the lines are already hot in
 				// the LLC; writes are pure cache updates.
 				memBytes = 0
-				spDone = start + llcLat + sim.GBps(sp.n, t.FabricGBps)
+				spDone = start + llcLat + sim.GBps(sp.N, t.FabricGBps)
 			} else if wk.d.Flags&FlagCacheControl != 0 {
 				// Destination steered to the LLC via the DDIO ways
 				// (§6.2 G3): only the footprint overflow leaks to memory.
-				leaked := d.ddioWrite(buf, sp.n)
+				leaked := d.ddioWrite(buf, sp.N)
 				d.stats.DDIOLeaked += leaked
 				memBytes = leaked
-				spDone = start + llcLat + sim.GBps(sp.n-leaked, t.FabricGBps)
+				spDone = start + llcLat + sim.GBps(sp.N-leaked, t.FabricGBps)
 			}
 			if memBytes > 0 && buf.Node != nil {
 				lat := d.Sys.AccessLat(d.Cfg.Socket, buf.Node, true)
@@ -257,15 +258,15 @@ func (eng *Engine) reserveData(wk *work, spans []span, dataStart sim.Time) sim.T
 					spDone = nd + lat
 				}
 			}
-			d.stats.BytesWritten += sp.n
+			d.stats.BytesWritten += sp.N
 		} else {
-			readBytes += sp.n
+			readBytes += sp.N
 			if buf.Node != nil {
 				lat := d.Sys.AccessLat(d.Cfg.Socket, buf.Node, false)
-				nd := d.Sys.ReserveTrafficAt(dataStart, d.Cfg.Socket, buf.Node, sp.n, false)
+				nd := d.Sys.ReserveTrafficAt(dataStart, d.Cfg.Socket, buf.Node, sp.N, false)
 				spDone = nd + lat
 			}
-			d.stats.BytesRead += sp.n
+			d.stats.BytesRead += sp.N
 		}
 		if spDone > done {
 			done = spDone

@@ -4,68 +4,114 @@ import (
 	"errors"
 	"fmt"
 
+	"dsasim/internal/cpu"
 	"dsasim/internal/delta"
 	"dsasim/internal/dif"
 	"dsasim/internal/isal"
 	"dsasim/internal/mem"
+	"dsasim/internal/sim"
 )
 
-// span is one memory range a descriptor accesses, used for fault checking
-// and traffic accounting.
-type span struct {
-	addr  mem.Addr
-	n     int64
-	write bool
-}
-
-// spansOf enumerates the ranges descriptor d touches. Destination sizes for
+// spansOf enumerates the ranges descriptor d touches into buf (no
+// operation touches more than three), so the footprint lives in the
+// caller's array and costs no allocation. Destination sizes for
 // size-changing operations (DIF, delta) are derived from the transfer size.
-func spansOf(d *Descriptor) ([]span, error) {
+// The device prices and fault-checks these ranges; RunOnCore charges a core
+// over the same ones.
+func spansOf(d *Descriptor, buf *[3]mem.Span) ([]mem.Span, error) {
+	switch d.Op {
+	case OpDIFInsert, OpDIFCheck, OpDIFStrip, OpDIFUpdate:
+		if !d.DIFBlock.Valid() {
+			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
+		}
+	}
 	s := d.Size
+	spans := buf[:0]
 	switch d.Op {
 	case OpNop, OpDrain, OpBatch:
 		return nil, nil
-	case OpMemmove, OpCopyCRC:
-		return []span{{d.Src, s, false}, {d.Dst, s, true}}, nil
+	case OpMemmove, OpCopyCRC, OpDIFUpdate:
+		return append(spans, rd(d.Src, s), wr(d.Dst, s)), nil
 	case OpFill:
-		return []span{{d.Dst, s, true}}, nil
+		return append(spans, wr(d.Dst, s)), nil
 	case OpCompare:
-		return []span{{d.Src, s, false}, {d.Src2, s, false}}, nil
-	case OpComparePattern, OpCRCGen, OpCacheFlush:
-		return []span{{d.Src, s, false}}, nil
+		return append(spans, rd(d.Src, s), rd(d.Src2, s)), nil
+	case OpComparePattern, OpCRCGen, OpCacheFlush, OpDIFCheck:
+		return append(spans, rd(d.Src, s)), nil
 	case OpCreateDelta:
-		return []span{{d.Src, s, false}, {d.Src2, s, false}, {d.Dst, d.MaxDst, true}}, nil
+		return append(spans, rd(d.Src, s), rd(d.Src2, s), wr(d.Dst, d.MaxDst)), nil
 	case OpApplyDelta:
 		// Src is the delta record (Size bytes); Dst is the buffer being
 		// patched (MaxDst bytes).
-		return []span{{d.Src, s, false}, {d.Dst, d.MaxDst, true}}, nil
+		return append(spans, rd(d.Src, s), wr(d.Dst, d.MaxDst)), nil
 	case OpDualcast:
-		return []span{{d.Src, s, false}, {d.Dst, s, true}, {d.Dst2, s, true}}, nil
+		return append(spans, rd(d.Src, s), wr(d.Dst, s), wr(d.Dst2, s)), nil
 	case OpDIFInsert:
-		if !d.DIFBlock.Valid() {
-			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
-		}
-		out := s / int64(d.DIFBlock) * d.DIFBlock.Protected()
-		return []span{{d.Src, s, false}, {d.Dst, out, true}}, nil
-	case OpDIFCheck:
-		if !d.DIFBlock.Valid() {
-			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
-		}
-		return []span{{d.Src, s, false}}, nil
+		return append(spans, rd(d.Src, s), wr(d.Dst, s/int64(d.DIFBlock)*d.DIFBlock.Protected())), nil
 	case OpDIFStrip:
-		if !d.DIFBlock.Valid() {
-			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
-		}
-		out := s / d.DIFBlock.Protected() * int64(d.DIFBlock)
-		return []span{{d.Src, s, false}, {d.Dst, out, true}}, nil
-	case OpDIFUpdate:
-		if !d.DIFBlock.Valid() {
-			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
-		}
-		return []span{{d.Src, s, false}, {d.Dst, s, true}}, nil
+		return append(spans, rd(d.Src, s), wr(d.Dst, s/d.DIFBlock.Protected()*int64(d.DIFBlock))), nil
 	default:
 		return nil, fmt.Errorf("dsa: unsupported opcode %v", d.Op)
 	}
+}
+
+// rd and wr build a read and a write span.
+func rd(a mem.Addr, n int64) mem.Span { return mem.Span{Addr: a, N: n} }
+func wr(a mem.Addr, n int64) mem.Span { return mem.Span{Addr: a, N: n, Write: true} }
+
+// coreOps maps each operation with a software baseline to the core routine
+// that prices it (Table 1's ISA-L / glibc counterparts, §4.1).
+var coreOps = map[OpType]cpu.Op{
+	OpMemmove:        cpu.OpMemcpy,
+	OpFill:           cpu.OpMemset,
+	OpCompare:        cpu.OpMemcmp,
+	OpComparePattern: cpu.OpComparePattern,
+	OpCRCGen:         cpu.OpCRC32,
+	OpCopyCRC:        cpu.OpCopyCRC,
+	OpDualcast:       cpu.OpDualcast,
+	OpCreateDelta:    cpu.OpDeltaCreate,
+	OpApplyDelta:     cpu.OpDeltaApply,
+	OpDIFInsert:      cpu.OpDIFInsert,
+	OpDIFCheck:       cpu.OpDIFCheck,
+	OpDIFStrip:       cpu.OpDIFStrip,
+	OpDIFUpdate:      cpu.OpDIFUpdate,
+}
+
+// RunOnCore runs d's operation on core c as its software baseline: execute
+// moves the bytes with the device's own kernel, and c is charged for the
+// op's routine over the device's own footprint (spansOf). It returns the
+// completion record the device would write and the modelled duration,
+// which c counts as busy and the caller still has to wait out.
+//
+// The routine reads Size bytes, except a delta create, which reads both of
+// its inputs (2×Size) and writes only the record bytes it used; a delta
+// apply writes as many bytes as the record holds, not all of MaxDst. A
+// failed op charges nothing, except a DIF check that finds a mismatch: it
+// has read every block by then. Ops without a routine (nop, drain, batch,
+// cache flush) fail with StatusBadOpcode.
+func RunOnCore(c *cpu.Core, d *Descriptor) (CompletionRecord, sim.Time) {
+	op, ok := coreOps[d.Op]
+	if !ok {
+		return CompletionRecord{Status: StatusBadOpcode, Err: fmt.Errorf("dsa: %v has no core equivalent", d.Op)}, 0
+	}
+	var buf [3]mem.Span
+	spans, err := spansOf(d, &buf)
+	if err != nil {
+		return CompletionRecord{Status: StatusError, Err: err}, 0
+	}
+	rec := execute(c.AS, d, d.Size)
+	if rec.Status != StatusSuccess && !(d.Op == OpDIFCheck && rec.Status == StatusDIFError) {
+		return rec, 0
+	}
+	transfer := d.Size
+	switch d.Op {
+	case OpCreateDelta:
+		transfer = 2 * d.Size
+		spans[2].N = int64(rec.Result)
+	case OpApplyDelta:
+		spans[1].N = d.Size
+	}
+	return rec, c.Charge(op, transfer, spans...)
 }
 
 // execute performs descriptor d's operation on address space as, moving real

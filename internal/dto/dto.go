@@ -7,6 +7,7 @@
 package dto
 
 import (
+	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/offload"
 	"dsasim/internal/sim"
@@ -61,6 +62,18 @@ func (i *Interposer) cpuCopy(p *sim.Proc, dst, src mem.Addr, n int64) error {
 	p.Sleep(dur)
 	i.stats.BytesCPU += n
 	return nil
+}
+
+// cpuCompare runs a compare on the CPU (memcmp has no core routine of its
+// own: it runs the device's compare descriptor on the core).
+func (i *Interposer) cpuCompare(p *sim.Proc, a, b mem.Addr, n int64) (equal bool, err error) {
+	rec, dur := dsa.RunOnCore(i.T.Core, &dsa.Descriptor{Op: dsa.OpCompare, Src: a, Src2: b, Size: n})
+	if rec.Status != dsa.StatusSuccess {
+		return false, rec.Err
+	}
+	p.Sleep(dur)
+	i.stats.BytesCPU += n
+	return !rec.Mismatch, nil
 }
 
 // Memcpy copies n bytes, offloading synchronously when n ≥ MinSize.
@@ -124,25 +137,13 @@ func (i *Interposer) Memcmp(p *sim.Proc, a, b mem.Addr, n int64) (equal bool, er
 	i.stats.Calls++
 	if n < i.MinSize {
 		i.stats.SmallFallback++
-		_, eq, dur, err := i.T.Core.Memcmp(a, b, n)
-		if err != nil {
-			return false, err
-		}
-		p.Sleep(dur)
-		i.stats.BytesCPU += n
-		return eq, nil
+		return i.cpuCompare(p, a, b, n)
 	}
 	f, ferr := i.T.Compare(p, a, b, n, offload.On(offload.Hardware))
 	res, err := i.hw(p, f, ferr)
 	if err != nil {
 		i.stats.ErrorFallback++
-		_, eq, dur, err2 := i.T.Core.Memcmp(a, b, n)
-		if err2 != nil {
-			return false, err2
-		}
-		p.Sleep(dur)
-		i.stats.BytesCPU += n
-		return eq, nil
+		return i.cpuCompare(p, a, b, n)
 	}
 	i.stats.Offloaded++
 	i.stats.BytesOffload += n

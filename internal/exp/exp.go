@@ -291,8 +291,10 @@ func (v *env) runCopy(cfg copyCfg) copyResult {
 }
 
 // swTime measures the software counterpart of a DSA op at the given size on
-// this environment's core. Buffers are placed on srcNode/dstNode with the
-// given LLC residency.
+// this environment's core: the op's descriptor, as the device runs it,
+// runs on the core through dsa.RunOnCore. Buffers are placed on
+// srcNode/dstNode with the given LLC residency; a Dualcast's second
+// destination is the second source buffer.
 func (v *env) swTime(op dsa.OpType, size int64, srcNode, dstNode *mem.Node, srcLLC, dstLLC bool) time.Duration {
 	if srcNode == nil {
 		srcNode = v.node(0)
@@ -304,35 +306,13 @@ func (v *env) swTime(op dsa.OpType, size int64, srcNode, dstNode *mem.Node, srcL
 	src := v.buf(size*2+64, srcNode, srcLLC, 0)
 	dst := v.buf(size*2+64, dstNode, dstLLC, 0)
 	src2 := v.buf(size*2+64, srcNode, srcLLC, 0)
-
-	var d time.Duration
-	var err error
-	switch op {
-	case dsa.OpMemmove:
-		d, err = v.core.Memcpy(dst.Addr(0), src.Addr(0), size)
-	case dsa.OpFill:
-		d, err = v.core.Memset(dst.Addr(0), size, 0xA5A5A5A5A5A5A5A5)
-	case dsa.OpCompare:
-		_, _, d, err = v.core.Memcmp(src.Addr(0), src2.Addr(0), size)
-	case dsa.OpComparePattern:
-		_, _, d, err = v.core.ComparePattern(src.Addr(0), size, 0)
-	case dsa.OpCRCGen:
-		_, d, err = v.core.CRC32(src.Addr(0), size, 0)
-	case dsa.OpCopyCRC:
-		_, d, err = v.core.CopyCRC(dst.Addr(0), src.Addr(0), size, 0)
-	case dsa.OpDualcast:
-		d, err = v.core.Dualcast(dst.Addr(0), src2.Addr(0), src.Addr(0), size)
-	case dsa.OpDIFInsert:
-		blocks := size / 512
-		if blocks == 0 {
-			blocks = 1
-		}
-		d, err = v.core.DIFInsert(dst.Addr(0), src.Addr(0), blocks*512, dif.Block512, dif.Tags{})
-	default:
-		panic(fmt.Sprintf("exp: no software counterpart for %v", op))
+	if op == dsa.OpDIFInsert {
+		size = max(size/512, 1) * 512 // whole protection blocks
 	}
-	if err != nil {
-		panic(err)
+	d := descFor(copyCfg{op: op, size: size}, src, src2, dst, src2, 0)
+	rec, dur := dsa.RunOnCore(v.core, &d)
+	if rec.Status != dsa.StatusSuccess {
+		panic(rec.Err)
 	}
-	return d
+	return dur
 }

@@ -30,6 +30,15 @@ func NewAddressSpace(pasid int) *AddressSpace {
 	return &AddressSpace{PASID: pasid, next: 0x10_0000_0000}
 }
 
+// Span is one range an operation accesses: N bytes at Addr, written when
+// Write is set and read otherwise. The device and the core price an
+// operation over the same spans.
+type Span struct {
+	Addr  Addr
+	N     int64
+	Write bool
+}
+
 // Buffer is a virtually contiguous allocation.
 type Buffer struct {
 	Base     Addr

@@ -21,7 +21,7 @@ const (
 
 // Result is the outcome of one operation.
 type Result struct {
-	Record   dsa.CompletionRecord // hardware-path completion record
+	Record   dsa.CompletionRecord // completion record (the core's for a software run)
 	CRC      uint32               // CRC32 / CopyCRC result
 	Mismatch bool                 // Compare / ComparePattern mismatch
 	Offset   int64                // first mismatch offset
@@ -232,43 +232,50 @@ func (r *pipeRun) finish(e *sim.Engine, res Result, err error) {
 // a pipeline chain counts only when its retry budget is spent.
 func (f *Future) resolve(dur sim.Time) {
 	f.done = true
-	rec := f.comp.Record()
-	f.res = Result{Record: rec, Hardware: true, Duration: dur}
+	f.res, f.err = decode(f.op, f.comp.Record())
+	f.res.Hardware, f.res.Duration = true, dur
+	if f.err == nil || f.ownerRetries {
+		return
+	}
+	// Coalesced siblings share one record: its failure counts once.
+	if sw := f.sharedWait; sw == nil || !sw.failCounted {
+		if sw != nil {
+			sw.failCounted = true
+		}
+		f.t.stats.failures.Add(1)
+	}
+}
+
+// decode maps op's completion record to its result fields, or to the
+// error its status reports. It is the one decode for device completions
+// (Future.resolve) and core runs (dsa.RunOnCore on the software path, the
+// FallbackAfter fallback and the SoftCRC32 stage), so an op reports the
+// same result and the same wrapped error on every path.
+func decode(op dsa.OpType, rec dsa.CompletionRecord) (Result, error) {
+	res := Result{Record: rec}
 	switch rec.Status {
 	case dsa.StatusSuccess:
 	case dsa.StatusRecordFull:
-		f.err = fmt.Errorf("offload: delta record overflow")
+		return res, fmt.Errorf("offload: delta record overflow: %w", rec.Err)
 	case dsa.StatusDIFError:
-		f.err = fmt.Errorf("offload: DIF check failed at block %d: %w", rec.Result, rec.Err)
+		return res, fmt.Errorf("offload: DIF check failed at block %d: %w", rec.Result, rec.Err)
 	case dsa.StatusBatchFail:
-		f.err = fmt.Errorf("offload: batch completed %d descriptors before failing: %w", rec.Result, rec.Err)
+		return res, fmt.Errorf("offload: batch completed %d descriptors before failing: %w", rec.Result, rec.Err)
 	case dsa.StatusPageFault, dsa.StatusWQError, dsa.StatusDeviceOffline:
-		f.err = faultError(rec)
+		return res, faultError(rec)
 	default:
-		f.err = fmt.Errorf("offload: %v: %w", rec.Status, rec.Err)
+		return res, fmt.Errorf("offload: %v: %w", rec.Status, rec.Err)
 	}
-	if f.err != nil {
-		if f.ownerRetries {
-			return
-		}
-		// Coalesced siblings share one record: its failure counts once.
-		if sw := f.sharedWait; sw == nil || !sw.failCounted {
-			if sw != nil {
-				sw.failCounted = true
-			}
-			f.t.stats.failures.Add(1)
-		}
-		return
-	}
-	switch f.op {
+	switch op {
 	case dsa.OpCRCGen, dsa.OpCopyCRC:
-		f.res.CRC = uint32(rec.Result)
+		res.CRC = uint32(rec.Result)
 	case dsa.OpCompare, dsa.OpComparePattern:
-		f.res.Mismatch = rec.Mismatch
-		f.res.Offset = int64(rec.Result)
+		res.Mismatch = rec.Mismatch
+		res.Offset = int64(rec.Result)
 	case dsa.OpCreateDelta:
-		f.res.Size = int64(rec.Result)
+		res.Size = int64(rec.Result)
 	}
+	return res, nil
 }
 
 // completed builds an already-resolved Future (software path and submission

@@ -28,12 +28,14 @@
 // per-WQ client and coalescer, the portal write, and the stats.
 //
 // Ops come from one descriptor table (ops.go) shared by the Tenant
-// methods, the Batch builder and the Pipeline stages. The same table maps
-// a descriptor back onto the core (runOnCore) for the software path, the
-// FallbackAfter fallback and the SoftCRC32 stage, and Future.resolve is
-// the one completion-record decode. Recovery makes one decision
-// (retryFault: recoverable status, budget left, fault/retry accounting)
-// for futures, plane completions and pipeline chain re-runs. The sharded
+// methods, the Batch builder and the Pipeline stages. The software path,
+// the FallbackAfter fallback and the SoftCRC32 stage run the same
+// descriptor on the core with dsa.RunOnCore (the device's kernel and
+// footprint, priced by the core's cost model), and decode is the one
+// completion-record decode, for the device's records and the core's.
+// Recovery makes one decision (retryFault: recoverable status, budget
+// left, fault/retry accounting) for futures, plane completions and
+// pipeline chain re-runs. The sharded
 // Plane is a second transport, not a second front end: its lanes push
 // descriptors into lock-free per-WQ rings instead of writing the portal.
 // Lanes admit and settle through the same two functions as chains:

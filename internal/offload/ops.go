@@ -13,9 +13,10 @@ import (
 // whichever front end issues it: the constructors serve the Tenant
 // methods, the Batch builder and the Pipeline stages (which leave the
 // addresses zero and bind them from Refs); ops only a Tenant issues build
-// theirs inline. runOnCore maps the same descriptor back onto the
-// submitting core, and Future.resolve decodes its completion record, so
-// an op's hardware, software and fallback semantics live in one place.
+// theirs inline. The device runs the descriptor, or dsa.RunOnCore runs it
+// on the submitting core through the same kernel and footprint, and decode
+// reads the completion record either way, so an op's hardware, software
+// and fallback semantics live in one place.
 
 func memmoveOp(dst, src mem.Addr, n int64) dsa.Descriptor {
 	return dsa.Descriptor{Op: dsa.OpMemmove, Src: src, Dst: dst, Size: n}
@@ -143,11 +144,13 @@ func (t *Tenant) runSW(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
 		return nil, fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
 	start := p.Now()
-	res, dur, err := t.runOnCore(&d)
+	rec, dur := dsa.RunOnCore(t.Core, &d)
+	res, err := decode(d.Op, rec)
 	if err != nil {
 		t.stats.failures.Add(1)
 		t.settle(dur, false)
-		return completed(Result{Duration: dur}, err), err
+		res.Duration = dur
+		return completed(res, err), err
 	}
 	bytes := d.Size
 	if d.Op == dsa.OpCreateDelta {
@@ -166,46 +169,4 @@ func (t *Tenant) coreDone(p *sim.Proc, res *Result, dur sim.Time, bytes int64, s
 	t.stats.swOps.Add(1)
 	t.stats.swBytes.Add(bytes)
 	res.Duration = p.Now() - start
-}
-
-// runOnCore executes d's operation on the tenant's core without charging
-// its time, returning the op's result fields and the modelled duration.
-// It serves the software path, the fault-recovery fallback and the
-// SoftCRC32 pipeline stage.
-func (t *Tenant) runOnCore(d *dsa.Descriptor) (res Result, dur sim.Time, err error) {
-	c := t.Core
-	var eq bool
-	switch d.Op {
-	case dsa.OpMemmove:
-		dur, err = c.Memcpy(d.Dst, d.Src, d.Size)
-	case dsa.OpFill:
-		dur, err = c.Memset(d.Dst, d.Size, d.Pattern)
-	case dsa.OpCompare:
-		res.Offset, eq, dur, err = c.Memcmp(d.Src, d.Src2, d.Size)
-		res.Mismatch = !eq
-	case dsa.OpComparePattern:
-		res.Offset, eq, dur, err = c.ComparePattern(d.Src, d.Size, d.Pattern)
-		res.Mismatch = !eq
-	case dsa.OpCRCGen:
-		res.CRC, dur, err = c.CRC32(d.Src, d.Size, d.CRCSeed)
-	case dsa.OpCopyCRC:
-		res.CRC, dur, err = c.CopyCRC(d.Dst, d.Src, d.Size, d.CRCSeed)
-	case dsa.OpDualcast:
-		dur, err = c.Dualcast(d.Dst, d.Dst2, d.Src, d.Size)
-	case dsa.OpCreateDelta:
-		res.Size, dur, err = c.DeltaCreate(d.Dst, d.Src, d.Src2, d.Size, d.MaxDst)
-	case dsa.OpApplyDelta:
-		dur, err = c.DeltaApply(d.Dst, d.Src, d.Size, d.MaxDst)
-	case dsa.OpDIFInsert:
-		dur, err = c.DIFInsert(d.Dst, d.Src, d.Size, d.DIFBlock, d.DIFTags)
-	case dsa.OpDIFCheck:
-		dur, err = c.DIFCheck(d.Src, d.Size, d.DIFBlock, d.DIFTags)
-	case dsa.OpDIFStrip:
-		dur, err = c.DIFStrip(d.Dst, d.Src, d.Size, d.DIFBlock, d.DIFTags)
-	case dsa.OpDIFUpdate:
-		dur, err = c.DIFUpdate(d.Dst, d.Src, d.Size, d.DIFBlock, d.DIFTags, d.DIFTags2)
-	default:
-		err = fmt.Errorf("offload: %v has no core equivalent", d.Op)
-	}
-	return res, dur, err
 }

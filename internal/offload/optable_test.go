@@ -2,6 +2,7 @@ package offload_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"dsasim/internal/delta"
@@ -126,6 +127,38 @@ func runOp(t *testing.T, c opCase, o offload.OpOption, faults bool) opOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := newOpBufs(t, tn)
+
+	var out opOutcome
+	r.run(func(p *sim.Proc) {
+		f, err := c.issue(p, tn, b, o)
+		if err != nil {
+			t.Errorf("%s: submit: %v", c.name, err)
+			return
+		}
+		res, err := f.Wait(p, offload.Poll)
+		if err != nil {
+			t.Errorf("%s: wait: %v", c.name, err)
+			return
+		}
+		out.crc, out.mismatch, out.offset, out.size, out.hardware = res.CRC, res.Mismatch, res.Offset, res.Size, res.Hardware
+	})
+	for i, buf := range c.outputs(b) {
+		if c.want != nil {
+			if want := c.want(b); !bytes.Equal(buf.Bytes()[:len(want)], want) {
+				t.Errorf("%s: output %d does not hold the expected bytes", c.name, i)
+			}
+		}
+		out.out = append(out.out, append([]byte(nil), buf.Bytes()...))
+	}
+	out.stats = tn.Stats()
+	return out
+}
+
+// newOpBufs allocates and seeds one op-table run's operands in tn's
+// address space.
+func newOpBufs(t *testing.T, tn *offload.Tenant) *opBufs {
+	t.Helper()
 	protLen := opN / int64(dif.Block512) * dif.Block512.Protected()
 	b := &opBufs{
 		src:  tn.Alloc(opN),
@@ -153,31 +186,7 @@ func runOp(t *testing.T, c opCase, o offload.OpOption, faults bool) opOutcome {
 		t.Fatal(err)
 	}
 	b.recLen = int64(used)
-
-	var out opOutcome
-	r.run(func(p *sim.Proc) {
-		f, err := c.issue(p, tn, b, o)
-		if err != nil {
-			t.Errorf("%s: submit: %v", c.name, err)
-			return
-		}
-		res, err := f.Wait(p, offload.Poll)
-		if err != nil {
-			t.Errorf("%s: wait: %v", c.name, err)
-			return
-		}
-		out.crc, out.mismatch, out.offset, out.size, out.hardware = res.CRC, res.Mismatch, res.Offset, res.Size, res.Hardware
-	})
-	for i, buf := range c.outputs(b) {
-		if c.want != nil {
-			if want := c.want(b); !bytes.Equal(buf.Bytes()[:len(want)], want) {
-				t.Errorf("%s: output %d does not hold the expected bytes", c.name, i)
-			}
-		}
-		out.out = append(out.out, append([]byte(nil), buf.Bytes()...))
-	}
-	out.stats = tn.Stats()
-	return out
+	return b
 }
 
 // TestOpTableMatchesAcrossPaths pins every Tenant op's semantics across
@@ -229,5 +238,65 @@ func TestOpTableMatchesAcrossPaths(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpTableFailuresMatchAcrossPaths pins that a failing op reports the
+// same matchable error on the hardware and the software path, and counts
+// one failure on either: a delta record overflow wraps
+// delta.ErrRecordFull, and a DIF mismatch carries a *dif.CheckError.
+func TestOpTableFailuresMatchAcrossPaths(t *testing.T) {
+	bad := dif.Tags{AppTag: 8, RefTag: 100, IncrementRef: true}
+	recordFull := func(err error) bool { return errors.Is(err, delta.ErrRecordFull) }
+	checkError := func(err error) bool {
+		var ce *dif.CheckError
+		return errors.As(err, &ce)
+	}
+	cases := []struct {
+		name  string
+		issue func(p *sim.Proc, tn *offload.Tenant, b *opBufs, o offload.OpOption) (*offload.Future, error)
+		match func(error) bool
+	}{
+		{"CreateDeltaOverflow", func(p *sim.Proc, tn *offload.Tenant, b *opBufs, o offload.OpOption) (*offload.Future, error) {
+			return tn.CreateDelta(p, b.dst.Addr(0), b.src.Addr(0), b.pat.Addr(0), opN, 64, o)
+		}, recordFull},
+		{"DIFCheckMismatch", func(p *sim.Proc, tn *offload.Tenant, b *opBufs, o offload.OpOption) (*offload.Future, error) {
+			return tn.DIFCheck(p, b.prot.Addr(0), b.prot.Size, dif.Block512, bad, o)
+		}, checkError},
+		{"DIFStripMismatch", func(p *sim.Proc, tn *offload.Tenant, b *opBufs, o offload.OpOption) (*offload.Future, error) {
+			return tn.DIFStrip(p, b.dst.Addr(0), b.prot.Addr(0), b.prot.Size, dif.Block512, bad, o)
+		}, checkError},
+		{"DIFUpdateMismatch", func(p *sim.Proc, tn *offload.Tenant, b *opBufs, o offload.OpOption) (*offload.Future, error) {
+			return tn.DIFUpdate(p, b.dst.Addr(0), b.prot.Addr(0), b.prot.Size, dif.Block512, bad, difTags2, o)
+		}, checkError},
+	}
+	for _, c := range cases {
+		for _, path := range []struct {
+			name string
+			p    offload.Path
+		}{{"Hardware", offload.Hardware}, {"Software", offload.Software}} {
+			t.Run(c.name+"/"+path.name, func(t *testing.T) {
+				r := newRig(t, 1)
+				tn, err := r.service(t).NewTenant()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := newOpBufs(t, tn)
+				var got error
+				r.run(func(p *sim.Proc) {
+					f, err := c.issue(p, tn, b, offload.On(path.p))
+					if err == nil {
+						_, err = f.Wait(p, offload.Poll)
+					}
+					got = err
+				})
+				if !c.match(got) {
+					t.Errorf("error %v does not match its cause", got)
+				}
+				if n := tn.Stats().Failures; n != 1 {
+					t.Errorf("Failures = %d, want 1", n)
+				}
+			})
+		}
 	}
 }

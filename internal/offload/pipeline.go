@@ -94,7 +94,8 @@ func (SoftCRC32) Engine() string { return "isal" }
 
 // Run implements StageExecutor.
 func (s SoftCRC32) Run(p *sim.Proc, t *Tenant, io StageIO) (uint64, error) {
-	res, dur, err := t.runOnCore(&dsa.Descriptor{Op: dsa.OpCRCGen, Src: io.Src, Size: io.Size, CRCSeed: s.Seed})
+	rec, dur := dsa.RunOnCore(t.Core, &dsa.Descriptor{Op: dsa.OpCRCGen, Src: io.Src, Size: io.Size, CRCSeed: s.Seed})
+	res, err := decode(dsa.OpCRCGen, rec)
 	if err != nil {
 		return 0, err
 	}

@@ -139,14 +139,14 @@ func (t *Tenant) fallback(p *sim.Proc, f *Future, rem dsa.Descriptor) bool {
 	default:
 		return false
 	}
-	res, dur, err := t.runOnCore(&rem)
+	rec, dur := dsa.RunOnCore(t.Core, &rem)
+	res, err := decode(rem.Op, rec)
 	if err != nil {
 		return false // core path refused: let the hardware fault surface
 	}
 	t.coreDone(p, &res, dur, rem.Size, f.start)
 	t.stats.fallbacks.Add(1)
 	t.S.met.fallback()
-	res.Record = dsa.CompletionRecord{Status: dsa.StatusSuccess}
 	f.done, f.res, f.err = true, res, nil
 	return true
 }
