@@ -8,6 +8,11 @@ import (
 // the model's stand-in for polling a completion record in memory. It records
 // the submit → dispatch → finish timeline used by the latency-breakdown
 // experiments (Fig 5).
+//
+// A Completion is also the device's queue entry for its descriptor: WQs,
+// the group's batch queue and the engines hold the Completion itself, so
+// each descriptor, batch children included, costs one allocation and one
+// Descriptor copy.
 type Completion struct {
 	e    *sim.Engine
 	rec  CompletionRecord
@@ -30,18 +35,20 @@ type Completion struct {
 	onDone    func(c *Completion, tag uint64)
 	onDoneTag uint64
 
-	// desc is the submitted descriptor, kept so completion hooks can
-	// rebuild a remainder submission after a partial completion.
+	// desc is the submitted descriptor: the copy the engine executes, and
+	// the one completion hooks rebuild a remainder submission from after a
+	// partial completion.
 	desc Descriptor
+
+	// Queue-entry links, fixed at submission.
+	wq       *WQ         // accepting WQ (nil for batch children)
+	parent   *batchState // the parent batch (nil unless a batch child)
+	childIdx int         // position within the parent batch's children
 
 	// Timeline instants (virtual time).
 	SubmitTime   sim.Time
 	DispatchTime sim.Time
 	FinishTime   sim.Time
-}
-
-func newCompletion(e *sim.Engine) *Completion {
-	return &Completion{e: e}
 }
 
 // complete records the result and wakes waiters.

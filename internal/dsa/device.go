@@ -227,8 +227,9 @@ func (d *Device) AddGroup(cfg GroupConfig) (*Group, error) {
 		ReadBufs:    cfg.ReadBufs,
 		ExpressBufs: cfg.ExpressBufs,
 	}
+	g.arbitrate = g.dispatch
 	for i := 0; i < cfg.Engines; i++ {
-		g.Engines = append(g.Engines, &Engine{ID: usedEngines + i, group: g})
+		g.Engines = append(g.Engines, newEngine(usedEngines+i, g))
 	}
 	for _, wc := range cfg.WQs {
 		if wc.Size <= 0 {

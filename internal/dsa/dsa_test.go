@@ -644,3 +644,26 @@ func TestBatchFetchPricedAgainstSubmitterSocket(t *testing.T) {
 		t.Fatalf("remote fetch penalty %v below the 70ns UPI hop", diff)
 	}
 }
+
+// TestDeviceOpAllocs pins a 4 KB memmove through WQ.Submit, run to its
+// completion record, at two allocations in steady state: the Completion,
+// which is also the descriptor's queue entry, and the one event closure
+// that writes its record.
+func TestDeviceOpAllocs(t *testing.T) {
+	r := newRig(t)
+	src, dst := r.alloc(4096), r.alloc(4096)
+	wq := r.dev.WQs()[0]
+	d := Descriptor{Op: OpMemmove, PASID: r.as.PASID, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
+	if n := testing.AllocsPerRun(1000, func() {
+		comp, err := wq.Submit(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.e.Run()
+		if rec := comp.Record(); !comp.Done() || rec.Status != StatusSuccess {
+			t.Fatalf("memmove finished with %+v", rec)
+		}
+	}); n > 2 {
+		t.Fatalf("device memmove allocates %.1f/op, want at most 2", n)
+	}
+}

@@ -25,6 +25,10 @@ type Engine struct {
 	group *Group
 	busy  bool
 
+	// release clears busy and re-runs the group's dispatch. It is built
+	// once with the engine, so scheduling an engine free allocates nothing.
+	release func()
+
 	processed int64
 	busyTime  sim.Time
 }
@@ -35,55 +39,59 @@ func (eng *Engine) Processed() int64 { return eng.processed }
 // BusyTime returns the cumulative engine front-end occupancy.
 func (eng *Engine) BusyTime() sim.Time { return eng.busyTime }
 
-// free releases the engine and re-arms dispatch.
-func (eng *Engine) free(at sim.Time) {
-	e := eng.group.Dev.E
-	e.At(at, func() {
+// newEngine returns an idle engine of g.
+func newEngine(id int, g *Group) *Engine {
+	eng := &Engine{ID: id, group: g}
+	eng.release = func() {
 		eng.busy = false
-		eng.group.dispatch()
-	})
+		g.dispatch()
+	}
+	return eng
 }
+
+// free releases the engine and re-arms dispatch at instant at.
+func (eng *Engine) free(at sim.Time) { eng.group.Dev.E.At(at, eng.release) }
 
 // execute runs one descriptor on the engine. Called from dispatch with the
 // engine marked free; it must set busy and eventually free the engine.
 // Every execute increments the group's inflight count exactly once; the
-// matching decrement happens when the work's completion record is written.
-func (eng *Engine) execute(wk *work) {
+// matching decrement happens when c's completion record is written.
+func (eng *Engine) execute(c *Completion) {
 	eng.busy = true
 	g := eng.group
 	d := g.Dev
 	e := d.E
 	now := e.Now()
-	wk.comp.DispatchTime = now
+	c.DispatchTime = now
 	eng.processed++
 	g.inflight++
 
-	switch wk.d.Op {
+	switch c.desc.Op {
 	case OpBatch:
-		eng.executeBatch(wk)
+		eng.executeBatch(c)
 		return
 	case OpDrain:
-		eng.executeDrain(wk)
+		eng.executeDrain(c)
 		return
 	}
 
 	t := d.Cfg.Timing
 	issue := t.EngineSetup
-	if wk.fromBatch {
+	if c.parent != nil {
 		issue = t.BatchSubDesc
 	}
 
-	as, err := d.space(wk.d.PASID)
+	as, err := d.space(c.desc.PASID)
 	if err != nil {
-		eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
+		eng.finish(c, now+issue, CompletionRecord{Status: StatusError, Err: err})
 		eng.free(now + issue)
 		return
 	}
 
 	var spanBuf [3]mem.Span
-	spans, err := spansOf(&wk.d, &spanBuf)
+	spans, err := spansOf(&c.desc, &spanBuf)
 	if err != nil {
-		eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
+		eng.finish(c, now+issue, CompletionRecord{Status: StatusError, Err: err})
 		eng.free(now + issue)
 		return
 	}
@@ -94,7 +102,7 @@ func (eng *Engine) execute(wk *work) {
 			continue
 		}
 		if _, err := as.View(sp.Addr, sp.N); err != nil {
-			eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
+			eng.finish(c, now+issue, CompletionRecord{Status: StatusError, Err: err})
 			eng.free(now + issue)
 			return
 		}
@@ -105,12 +113,12 @@ func (eng *Engine) execute(wk *work) {
 	// matters, Fig 8).
 	var trans sim.Time
 	if len(spans) > 0 {
-		trans = d.translate(wk.d.PASID, spans[0].Addr)
+		trans = d.translate(c.desc.PASID, spans[0].Addr)
 	}
 
 	// Page faults.
 	var faultDelay sim.Time
-	upTo := wk.d.Size
+	upTo := c.desc.Size
 	faulted := false
 	var faultAddr mem.Addr
 	for _, sp := range spans {
@@ -124,16 +132,16 @@ func (eng *Engine) execute(wk *work) {
 			}
 			var pf *mem.PageFaultError
 			if !errors.As(err, &pf) {
-				eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
+				eng.finish(c, now+issue, CompletionRecord{Status: StatusError, Err: err})
 				eng.free(now + issue)
 				return
 			}
 			d.stats.PageFaults++
-			if wk.d.Flags&FlagBlockOnFault != 0 {
+			if c.desc.Flags&FlagBlockOnFault != 0 {
 				// The engine stalls while the OS resolves the fault.
 				faultDelay += d.Sys.IOMMU.FaultLat()
 				if err := as.ResolveFault(pf.Addr); err != nil {
-					eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
+					eng.finish(c, now+issue, CompletionRecord{Status: StatusError, Err: err})
 					eng.free(now + issue)
 					return
 				}
@@ -156,10 +164,10 @@ func (eng *Engine) execute(wk *work) {
 	// block-on-fault stalls the engine for the OS round trip; otherwise
 	// the device reports a partial completion after the fault-report cost.
 	if !faulted && d.faults != nil {
-		if off, hit := d.faults.roll(&wk.d, now); hit {
+		if off, hit := d.faults.roll(&c.desc, now); hit {
 			d.stats.PageFaults++
 			d.stats.InjectedFaults++
-			if wk.d.Flags&FlagBlockOnFault != 0 {
+			if c.desc.Flags&FlagBlockOnFault != 0 {
 				faultDelay += d.Sys.IOMMU.FaultLat()
 			} else {
 				faulted = true
@@ -177,7 +185,7 @@ func (eng *Engine) execute(wk *work) {
 
 	dataDone := dataStart
 	if !faulted {
-		dataDone = eng.reserveData(wk, spans, dataStart)
+		dataDone = eng.reserveData(c, spans, dataStart)
 	}
 	// Completion record write plus the fabric hop back to the host LLC,
 	// where software observes it.
@@ -190,22 +198,20 @@ func (eng *Engine) execute(wk *work) {
 			// Apply the completed prefix functionally for ops with
 			// byte-wise prefixes (copy/fill); result-producing ops
 			// report the fault without side effects.
-			switch wk.d.Op {
+			switch c.desc.Op {
 			case OpMemmove, OpFill, OpCopyCRC, OpDualcast:
-				pr := execute(as, &wk.d, upTo)
+				pr := execute(as, &c.desc, upTo)
 				pr.Status = StatusPageFault
 				pr.BytesCompleted = upTo
 				pr.FaultAddr = faultAddr
 				rec = pr
 			}
 		}
-		eng.finish(wk, finishAt, rec)
+		eng.finish(c, finishAt, rec)
 	} else {
 		// Defer functional execution to completion time so overlapping
 		// descriptors apply in completion order.
-		eng.finishFunc(wk, finishAt, func() CompletionRecord {
-			return execute(as, &wk.d, wk.d.Size)
-		})
+		e.At(finishAt, func() { eng.deliver(c, execute(as, &c.desc, c.desc.Size)) })
 	}
 	eng.busyTime += dataDone - now
 	eng.free(dataDone)
@@ -213,11 +219,11 @@ func (eng *Engine) execute(wk *work) {
 
 // reserveData books every shared resource the descriptor's data movement
 // needs, starting at dataStart, and returns the data completion instant.
-func (eng *Engine) reserveData(wk *work, spans []mem.Span, dataStart sim.Time) sim.Time {
+func (eng *Engine) reserveData(c *Completion, spans []mem.Span, dataStart sim.Time) sim.Time {
 	g := eng.group
 	d := g.Dev
 	t := d.Cfg.Timing
-	as, _ := d.space(wk.d.PASID)
+	as, _ := d.space(c.desc.PASID)
 
 	var readBytes, writeBytes int64
 	done := dataStart
@@ -243,7 +249,7 @@ func (eng *Engine) reserveData(wk *work, spans []mem.Span, dataStart sim.Time) s
 				// the LLC; writes are pure cache updates.
 				memBytes = 0
 				spDone = start + llcLat + sim.GBps(sp.N, t.FabricGBps)
-			} else if wk.d.Flags&FlagCacheControl != 0 {
+			} else if c.desc.Flags&FlagCacheControl != 0 {
 				// Destination steered to the LLC via the DDIO ways
 				// (§6.2 G3): only the footprint overflow leaks to memory.
 				leaked := d.ddioWrite(buf, sp.N)
@@ -286,7 +292,7 @@ func (eng *Engine) reserveData(wk *work, spans []mem.Span, dataStart sim.Time) s
 	// Group read buffers bound sustainable read bandwidth; with an express
 	// partition, top-priority reads draw from their reserved lane.
 	if readBytes > 0 {
-		if pipe := g.readPipeFor(wk); pipe != nil {
+		if pipe := g.readPipeFor(c); pipe != nil {
 			if rd := pipe.ReserveAt(dataStart, readBytes); rd > done {
 				done = rd
 			}
@@ -295,41 +301,39 @@ func (eng *Engine) reserveData(wk *work, spans []mem.Span, dataStart sim.Time) s
 	return done
 }
 
-// finish schedules the completion record write at instant at.
-func (eng *Engine) finish(wk *work, at sim.Time, rec CompletionRecord) {
-	eng.finishFunc(wk, at, func() CompletionRecord { return rec })
+// finish schedules the write of completion record rec for c at instant at.
+func (eng *Engine) finish(c *Completion, at sim.Time, rec CompletionRecord) {
+	eng.group.Dev.E.At(at, func() { eng.deliver(c, rec) })
 }
 
-// finishFunc schedules fn to produce the completion record at instant at and
-// delivers it.
-func (eng *Engine) finishFunc(wk *work, at sim.Time, fn func() CompletionRecord) {
+// deliver writes c's completion record now: it releases c's inflight slot,
+// wakes c's waiters, feeds the WQ's latency signals or the parent batch,
+// and wakes pending drains.
+func (eng *Engine) deliver(c *Completion, rec CompletionRecord) {
 	g := eng.group
 	d := g.Dev
-	d.E.At(at, func() {
-		rec := fn()
-		d.stats.Completed++
-		g.inflight--
-		wk.comp.complete(rec)
-		if wk.wq != nil {
-			wk.wq.noteCompleted(wk.d.PASID, wk.comp.Latency())
-		}
-		if wk.parent != nil {
-			wk.parent.childDone(wk.childIdx, rec)
-		}
-		g.drainSig.Broadcast(d.E)
-	})
+	d.stats.Completed++
+	g.inflight--
+	c.complete(rec)
+	if c.wq != nil {
+		c.wq.noteCompleted(c.desc.PASID, c.Latency())
+	}
+	if c.parent != nil {
+		c.parent.childDone(c.childIdx, rec)
+	}
+	g.drainSig.Broadcast(d.E)
 }
 
 // executeDrain completes once every previously dispatched descriptor in the
 // group has finished (inflight drops to 1 — the drain itself). The engine is
 // held for the duration, as the drain descriptor occupies its slot.
-func (eng *Engine) executeDrain(wk *work) {
+func (eng *Engine) executeDrain(c *Completion) {
 	g := eng.group
 	d := g.Dev
 	t := d.Cfg.Timing
 	complete := func() {
 		at := d.E.Now() + t.EngineSetup + t.CRWrite
-		eng.finish(wk, at, CompletionRecord{Status: StatusSuccess})
+		eng.finish(c, at, CompletionRecord{Status: StatusSuccess})
 		eng.free(at)
 	}
 	if g.inflight <= 1 {
@@ -347,7 +351,7 @@ func (eng *Engine) executeDrain(wk *work) {
 // batchState aggregates a batch descriptor's children (§3.4 F2).
 type batchState struct {
 	eng       *Engine
-	wk        *work
+	comp      *Completion // the batch descriptor's own completion
 	children  []Descriptor
 	childRecs []CompletionRecord // per-child records, indexed by child position
 	nextIssue int
@@ -366,36 +370,35 @@ type batchState struct {
 // from memory in one read, then stream sub-descriptors to the group's
 // engines at BatchSubDesc intervals (cheaper than portal-submitted
 // descriptors, which is the Fig 3/9 batching win).
-func (eng *Engine) executeBatch(wk *work) {
+func (eng *Engine) executeBatch(c *Completion) {
 	g := eng.group
 	d := g.Dev
 	t := d.Cfg.Timing
 	now := d.E.Now()
 	d.stats.BatchesFetched++
 
-	n := int64(len(wk.d.Descs)) * 64
+	n := int64(len(c.desc.Descs)) * 64
 	// Fetch the descriptor array: one memory round trip plus fabric
 	// occupancy for 64×N bytes. The array lives in the submitting core's
 	// local memory, so the round trip is priced against the submitter's
 	// home node — a device on the other socket pays the UPI hop.
 	var fetchLat sim.Time = 110 * time.Nanosecond
-	if home := d.Sys.HomeNode(wk.d.SubmitterSocket); home != nil {
+	if home := d.Sys.HomeNode(c.desc.SubmitterSocket); home != nil {
 		fetchLat = d.Sys.AccessLat(d.Cfg.Socket, home, false)
 	}
 	fetchDone := d.fabric.ReserveAt(now+t.EngineSetup+fetchLat, n)
 
 	bs := &batchState{
 		eng:       eng,
-		wk:        wk,
-		children:  wk.d.Descs,
-		childRecs: make([]CompletionRecord, len(wk.d.Descs)),
+		comp:      c,
+		children:  c.desc.Descs,
+		childRecs: make([]CompletionRecord, len(c.desc.Descs)),
 	}
 	d.E.At(fetchDone, func() {
 		bs.issueReady()
 		// The fetching engine frees once the children are queued; it can
 		// then pick children itself.
-		eng.busy = false
-		g.dispatch()
+		eng.release()
 	})
 }
 
@@ -405,8 +408,7 @@ func (eng *Engine) executeBatch(wk *work) {
 func (bs *batchState) issueReady() {
 	g := bs.eng.group
 	for bs.nextIssue < len(bs.children) {
-		child := bs.children[bs.nextIssue]
-		if child.Flags&FlagFence != 0 {
+		if bs.children[bs.nextIssue].Flags&FlagFence != 0 {
 			if bs.completed < bs.nextIssue {
 				return // barrier: wait for earlier children
 			}
@@ -415,18 +417,16 @@ func (bs *batchState) issueReady() {
 				return
 			}
 		}
-		child.PASID = bs.wk.d.PASID
-		cw := &work{
-			d:         child,
-			comp:      newCompletion(g.Dev.E),
-			parent:    bs,
-			childIdx:  bs.nextIssue,
-			fromBatch: true,
-			enqueued:  g.Dev.E.Now(),
+		child := &Completion{
+			e:          g.Dev.E,
+			desc:       bs.children[bs.nextIssue],
+			parent:     bs,
+			childIdx:   bs.nextIssue,
+			SubmitTime: bs.comp.SubmitTime,
 		}
-		cw.comp.SubmitTime = bs.wk.comp.SubmitTime
+		child.desc.PASID = bs.comp.desc.PASID
 		bs.nextIssue++
-		g.batchQ.Push(cw)
+		g.batchQ.Push(child)
 	}
 }
 
@@ -454,24 +454,14 @@ func (bs *batchState) childDone(idx int, rec CompletionRecord) {
 		return // issued children still in flight
 	}
 	if bs.poisoned || bs.completed == len(bs.children) {
-		d := g.Dev
 		status := StatusSuccess
 		if bs.failed {
 			status = StatusBatchFail
 		}
-		at := d.E.Now() + d.Cfg.Timing.CRWrite
-		d.E.At(at, func() {
-			d.stats.Completed++
-			g.inflight-- // the batch parent's own inflight slot
-			bs.wk.comp.complete(CompletionRecord{
-				Status:   status,
-				Result:   uint64(bs.succeeded),
-				Children: bs.childRecs,
-			})
-			if bs.wk.wq != nil {
-				bs.wk.wq.noteCompleted(bs.wk.d.PASID, bs.wk.comp.Latency())
-			}
-			g.drainSig.Broadcast(d.E)
+		bs.eng.finish(bs.comp, g.Dev.E.Now()+g.Dev.Cfg.Timing.CRWrite, CompletionRecord{
+			Status:   status,
+			Result:   uint64(bs.succeeded),
+			Children: bs.childRecs,
 		})
 	}
 }

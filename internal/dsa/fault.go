@@ -171,17 +171,13 @@ func (d *Device) Offline() bool { return d.offline.Load() }
 // batch) is unaffected and drains normally.
 func (w *WQ) failQueued(status Status, err error) {
 	for {
-		wk, ok := w.q.Pop()
+		c, ok := w.q.Pop()
 		if !ok {
 			return
 		}
 		w.occupied--
 		w.noteOcc()
-		rec := CompletionRecord{Status: status, Err: err}
-		wk.comp.complete(rec)
-		w.noteCompleted(wk.d.PASID, wk.comp.Latency())
-		if wk.parent != nil {
-			wk.parent.childDone(wk.childIdx, rec)
-		}
+		c.complete(CompletionRecord{Status: status, Err: err})
+		w.noteCompleted(c.desc.PASID, c.Latency())
 	}
 }

@@ -27,7 +27,11 @@ type Group struct {
 
 	// batchQ holds sub-descriptors fetched by the batch processing unit,
 	// ready for any engine in the group.
-	batchQ sim.FIFO[*work]
+	batchQ sim.FIFO[*Completion]
+
+	// arbitrate is dispatch as a func value, built once with the group so
+	// that scheduling a dispatch allocates nothing.
+	arbitrate func()
 
 	// credits implement priority-weighted round-robin among WQs.
 	credits []int
@@ -84,13 +88,13 @@ func (g *Group) finalize() {
 // from: the reserved express partition when the submitting WQ holds the
 // group's top priority, the shared/bulk allocation otherwise. Batch
 // sub-descriptors inherit their parent's WQ.
-func (g *Group) readPipeFor(wk *work) *sim.Pipe {
+func (g *Group) readPipeFor(c *Completion) *sim.Pipe {
 	if g.expressPipe == nil {
 		return g.readPipe
 	}
-	wq := wk.wq
-	if wq == nil && wk.parent != nil {
-		wq = wk.parent.wk.wq
+	wq := c.wq
+	if wq == nil && c.parent != nil {
+		wq = c.parent.comp.wq
 	}
 	if wq != nil && wq.Priority >= g.topPrio {
 		return g.expressPipe
@@ -107,9 +111,9 @@ func (g *Group) refillCredits() {
 // nextWork selects the next descriptor for dispatch: batch sub-descriptors
 // first (they were already arbitrated when their parent was picked), then
 // WQ heads by priority-weighted round-robin.
-func (g *Group) nextWork() (*work, bool) {
-	if wk, ok := g.batchQ.Pop(); ok {
-		return wk, true
+func (g *Group) nextWork() (*Completion, bool) {
+	if c, ok := g.batchQ.Pop(); ok {
+		return c, true
 	}
 	n := len(g.WQs)
 	// Two passes: first honoring credits, then ignoring them (prevents
@@ -124,7 +128,7 @@ func (g *Group) nextWork() (*work, bool) {
 			if pass == 0 && g.credits[idx] <= 0 {
 				continue
 			}
-			wk, _ := wq.q.Pop()
+			c, _ := wq.q.Pop()
 			wq.occupied--
 			wq.noteOcc()
 			g.credits[idx]--
@@ -132,7 +136,7 @@ func (g *Group) nextWork() (*work, bool) {
 			if g.allCreditsSpent() {
 				g.refillCredits()
 			}
-			return wk, true
+			return c, true
 		}
 	}
 	return nil, false
@@ -154,11 +158,11 @@ func (g *Group) dispatch() {
 		if eng.busy {
 			continue
 		}
-		wk, ok := g.nextWork()
+		c, ok := g.nextWork()
 		if !ok {
 			return
 		}
-		eng.execute(wk)
+		eng.execute(c)
 	}
 }
 

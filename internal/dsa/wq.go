@@ -33,17 +33,6 @@ func (m WQMode) String() string {
 // occupancy it is responsible for tracking.
 var ErrWQFull = fmt.Errorf("dsa: work queue full")
 
-// work is one queued descriptor with its completion handle.
-type work struct {
-	d         Descriptor
-	comp      *Completion
-	wq        *WQ         // accepting WQ (nil for batch sub-descriptors)
-	parent    *batchState // non-nil for batch sub-descriptors
-	childIdx  int         // position within the parent batch's children
-	fromBatch bool
-	enqueued  sim.Time
-}
-
 // WQ is one configured work queue.
 type WQ struct {
 	ID       int
@@ -53,7 +42,7 @@ type WQ struct {
 	Priority int
 
 	group    *Group
-	q        sim.FIFO[*work]
+	q        sim.FIFO[*Completion]
 	occupied int // entries consumed (freed on dispatch to an engine)
 
 	// ring, when attached, is the lock-free software submission ring
@@ -108,10 +97,7 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	if d.Op == OpBatch && len(d.Descs) < 2 {
 		return nil, fmt.Errorf("dsa: batch requires at least 2 descriptors")
 	}
-	comp := newCompletion(w.Dev.E)
-	comp.SubmitTime = w.Dev.E.Now()
-	comp.desc = d
-	wk := &work{d: d, comp: comp, wq: w, enqueued: w.Dev.E.Now()}
+	comp := &Completion{e: w.Dev.E, desc: d, wq: w, SubmitTime: w.Dev.E.Now()}
 	w.occupied++
 	if w.occupied > w.maxOcc {
 		w.maxOcc = w.occupied
@@ -119,9 +105,9 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	w.noteOcc()
 	w.submitted++
 	w.Dev.stats.Submitted++
-	w.q.Push(wk)
+	w.q.Push(comp)
 	// The descriptor becomes visible to the group arbiter after the portal
 	// fabric hop.
-	w.Dev.E.After(w.Dev.Cfg.Timing.PortalHop/2, w.group.dispatch)
+	w.Dev.E.After(w.Dev.Cfg.Timing.PortalHop/2, w.group.arbitrate)
 	return comp, nil
 }

@@ -11,16 +11,28 @@ import (
 // other owners when capacity is exceeded. This is the level of detail Figs
 // 12/13 require — who occupies the cache and by how much — without
 // simulating individual lines.
+//
+// Owners are interned to dense ids in first-seen order, and occupancy and
+// eviction counts are slices indexed by id, so an overflowing insert costs
+// one name lookup and a loop over the owners: no allocation, no sort and no
+// map access per victim. The proportional eviction visits owners in id
+// order, and that order cannot change a result: each victim's take depends
+// only on its own occupancy, on the other owners' total and on the excess,
+// all three fixed before the loop. An owner whose occupancy reaches zero
+// (or is trimmed below it) is absent: it reads 0 and drops out of Owners,
+// while its eviction count stays.
 type LLC struct {
 	capacity int64
 	ways     int
 	ddioWays int
 
-	occ   map[string]int64
+	ids   map[string]int // owner name → dense id
+	names []string       // id → owner name
+	occ   []int64        // id → bytes held; 0 for an absent owner
 	total int64
 
-	// evictions counts bytes evicted per victim owner, for telemetry.
-	evictions map[string]int64
+	// evictions counts bytes evicted per victim id, for telemetry.
+	evictions []int64
 }
 
 // LLCConfig sizes an LLC.
@@ -45,11 +57,10 @@ func NewLLC(cfg LLCConfig) *LLC {
 		panic(fmt.Sprintf("mem: DDIO ways %d exceed total ways %d", cfg.DDIOWays, cfg.Ways))
 	}
 	return &LLC{
-		capacity:  cfg.Capacity,
-		ways:      cfg.Ways,
-		ddioWays:  cfg.DDIOWays,
-		occ:       make(map[string]int64),
-		evictions: make(map[string]int64),
+		capacity: cfg.Capacity,
+		ways:     cfg.Ways,
+		ddioWays: cfg.DDIOWays,
+		ids:      make(map[string]int),
 	}
 }
 
@@ -61,12 +72,17 @@ func (c *LLC) DDIOCapacity() int64 {
 	return c.capacity / int64(c.ways) * int64(c.ddioWays)
 }
 
-// SetDDIOWays reconfigures the DDIO partition (the §6.2 tuning knob).
-func (c *LLC) SetDDIOWays(n int) {
-	if n <= 0 || n > c.ways {
-		panic(fmt.Sprintf("mem: invalid DDIO ways %d", n))
+// id returns owner's dense id, interning the name on first sight.
+func (c *LLC) id(owner string) int {
+	if id, ok := c.ids[owner]; ok {
+		return id
 	}
-	c.ddioWays = n
+	id := len(c.names)
+	c.ids[owner] = id
+	c.names = append(c.names, owner)
+	c.occ = append(c.occ, 0)
+	c.evictions = append(c.evictions, 0)
+	return id
 }
 
 // Insert allocates n bytes in the cache on behalf of owner, evicting
@@ -76,9 +92,10 @@ func (c *LLC) Insert(owner string, n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	c.occ[owner] += n
+	id := c.id(owner)
+	c.occ[id] += n
 	c.total += n
-	return c.shrinkTo(c.capacity, owner)
+	return c.shrinkTo(c.capacity, id)
 }
 
 // InsertDDIO allocates n bytes via the DDIO partition: the owner's DDIO
@@ -89,51 +106,59 @@ func (c *LLC) InsertDDIO(owner string, n int64) (leaked int64) {
 	if n <= 0 {
 		return 0
 	}
-	cap := c.DDIOCapacity()
-	cur := c.occ[owner]
-	fit := cap - cur
+	id := c.id(owner)
+	fit := c.DDIOCapacity() - c.occ[id]
 	if fit <= 0 {
 		return n
 	}
 	if fit > n {
 		fit = n
 	}
-	c.occ[owner] += fit
+	c.occ[id] += fit
 	c.total += fit
-	c.shrinkTo(c.capacity, owner)
+	c.shrinkTo(c.capacity, id)
 	return n - fit
 }
 
 // Evict removes up to n bytes owned by owner (as a cache-flush or natural
 // invalidation would) and returns the bytes actually removed.
 func (c *LLC) Evict(owner string, n int64) int64 {
-	cur := c.occ[owner]
-	if n > cur {
+	id := c.id(owner)
+	if cur := c.occ[id]; n > cur {
 		n = cur
 	}
-	c.occ[owner] = cur - n
+	c.occ[id] -= n
 	c.total -= n
-	if c.occ[owner] == 0 {
-		delete(c.occ, owner)
-	}
 	return n
 }
 
 // Occupancy returns the bytes currently held by owner.
-func (c *LLC) Occupancy(owner string) int64 { return c.occ[owner] }
+func (c *LLC) Occupancy(owner string) int64 {
+	if id, ok := c.ids[owner]; ok {
+		return c.occ[id]
+	}
+	return 0
+}
 
 // Total returns the total occupied bytes.
 func (c *LLC) Total() int64 { return c.total }
 
 // Evicted returns cumulative bytes evicted from owner by other inserters.
-func (c *LLC) Evicted(owner string) int64 { return c.evictions[owner] }
+func (c *LLC) Evicted(owner string) int64 {
+	if id, ok := c.ids[owner]; ok {
+		return c.evictions[id]
+	}
+	return 0
+}
 
-// Owners returns the current owners sorted by name (deterministic order for
-// reports).
+// Owners returns the owners currently holding bytes, sorted by name
+// (deterministic order for reports).
 func (c *LLC) Owners() []string {
-	names := make([]string, 0, len(c.occ))
-	for k := range c.occ {
-		names = append(names, k)
+	names := make([]string, 0, len(c.names))
+	for id, name := range c.names {
+		if c.occ[id] > 0 {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -142,7 +167,7 @@ func (c *LLC) Owners() []string {
 // shrinkTo evicts proportionally from owners other than inserter until total
 // occupancy fits in limit; if the inserter alone exceeds the limit it is
 // trimmed too. Returns bytes evicted from others.
-func (c *LLC) shrinkTo(limit int64, inserter string) int64 {
+func (c *LLC) shrinkTo(limit int64, inserter int) int64 {
 	if c.total <= limit {
 		return 0
 	}
@@ -150,23 +175,19 @@ func (c *LLC) shrinkTo(limit int64, inserter string) int64 {
 	othersTotal := c.total - c.occ[inserter]
 	var victims int64
 	if othersTotal > 0 {
-		names := c.Owners()
-		for _, name := range names {
-			if name == inserter {
+		for id, occ := range c.occ {
+			if id == inserter || occ == 0 {
 				continue
 			}
-			share := float64(c.occ[name]) / float64(othersTotal)
+			share := float64(occ) / float64(othersTotal)
 			take := int64(share * float64(excess))
-			if take > c.occ[name] {
-				take = c.occ[name]
+			if take > occ {
+				take = occ
 			}
-			c.occ[name] -= take
+			c.occ[id] = occ - take
 			c.total -= take
-			c.evictions[name] += take
+			c.evictions[id] += take
 			victims += take
-			if c.occ[name] == 0 {
-				delete(c.occ, name)
-			}
 		}
 	}
 	// Rounding or a dominant inserter can leave residual excess: trim it.
@@ -175,8 +196,8 @@ func (c *LLC) shrinkTo(limit int64, inserter string) int64 {
 		c.occ[inserter] -= over
 		c.total -= over
 		c.evictions[inserter] += over
-		if c.occ[inserter] <= 0 {
-			delete(c.occ, inserter)
+		if c.occ[inserter] < 0 {
+			c.occ[inserter] = 0
 		}
 	}
 	return victims

@@ -3,6 +3,9 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -351,8 +354,226 @@ func TestDDIOCapacityScalesWithWays(t *testing.T) {
 	if got := c.DDIOCapacity(); got != 2000 {
 		t.Fatalf("DDIOCapacity = %d, want 2000", got)
 	}
-	c.SetDDIOWays(4)
+	c = NewLLC(LLCConfig{Capacity: 15000, Ways: 15, DDIOWays: 4})
 	if got := c.DDIOCapacity(); got != 4000 {
-		t.Fatalf("after SetDDIOWays(4) = %d, want 4000", got)
+		t.Fatalf("DDIOCapacity with 4 ways = %d, want 4000", got)
+	}
+}
+
+// refLLC is the map-keyed LLC the dense-id LLC replaced, kept as the
+// reference TestLLCMatchesReference compares against. residualTrims counts
+// the inserts that reached the inserter trim and belowZero those that
+// trimmed it below zero, so the test can show the sequence covered both.
+type refLLC struct {
+	capacity, ddioCap int64
+	occ, evictions    map[string]int64
+	total             int64
+	residualTrims     int
+	belowZero         int
+}
+
+func newRefLLC(capacity, ddioCap int64) *refLLC {
+	return &refLLC{capacity: capacity, ddioCap: ddioCap, occ: map[string]int64{}, evictions: map[string]int64{}}
+}
+
+func (c *refLLC) Insert(owner string, n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	c.occ[owner] += n
+	c.total += n
+	return c.shrinkTo(c.capacity, owner)
+}
+
+func (c *refLLC) InsertDDIO(owner string, n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	fit := c.ddioCap - c.occ[owner]
+	if fit <= 0 {
+		return n
+	}
+	if fit > n {
+		fit = n
+	}
+	c.occ[owner] += fit
+	c.total += fit
+	c.shrinkTo(c.capacity, owner)
+	return n - fit
+}
+
+func (c *refLLC) Evict(owner string, n int64) int64 {
+	cur := c.occ[owner]
+	if n > cur {
+		n = cur
+	}
+	c.occ[owner] = cur - n
+	c.total -= n
+	if c.occ[owner] == 0 {
+		delete(c.occ, owner)
+	}
+	return n
+}
+
+func (c *refLLC) Owners() []string {
+	names := make([]string, 0, len(c.occ))
+	for k := range c.occ {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func (c *refLLC) shrinkTo(limit int64, inserter string) int64 {
+	if c.total <= limit {
+		return 0
+	}
+	excess := c.total - limit
+	othersTotal := c.total - c.occ[inserter]
+	var victims int64
+	if othersTotal > 0 {
+		for _, name := range c.Owners() {
+			if name == inserter {
+				continue
+			}
+			share := float64(c.occ[name]) / float64(othersTotal)
+			take := int64(share * float64(excess))
+			if take > c.occ[name] {
+				take = c.occ[name]
+			}
+			c.occ[name] -= take
+			c.total -= take
+			c.evictions[name] += take
+			victims += take
+			if c.occ[name] == 0 {
+				delete(c.occ, name)
+			}
+		}
+	}
+	if c.total > limit {
+		over := c.total - limit
+		c.residualTrims++
+		if c.occ[inserter] < over {
+			c.belowZero++
+		}
+		c.occ[inserter] -= over
+		c.total -= over
+		c.evictions[inserter] += over
+		if c.occ[inserter] <= 0 {
+			delete(c.occ, inserter)
+		}
+	}
+	return victims
+}
+
+// TestLLCMatchesReference drives one seeded sequence of inserts, DDIO
+// inserts and evictions through the LLC and the map-keyed reference, and
+// compares every return value and every observable after each step.
+func TestLLCMatchesReference(t *testing.T) {
+	const capacity = 1 << 16
+	c := NewLLC(LLCConfig{Capacity: capacity, Ways: 16, DDIOWays: 2})
+	ref := newRefLLC(capacity, c.DDIOCapacity())
+	// Ten owners drawn at random, "tiny" used only after a negative
+	// Evict, and one name that is only ever queried.
+	owners := []string{"xmem0", "xmem1", "xmem2", "xmem3", "core10", "core11", "core12", "core13", "dsa0", "big", "tiny", "never"}
+	check := func(step int, what string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("step %d: %s = %d, reference %d", step, what, got, want)
+		}
+	}
+	r := sim.NewRand(20261017)
+	for step := 0; step < 5000; step++ {
+		o := owners[r.Intn(len(owners)-2)]
+		var what string
+		var got, want int64
+		switch k := r.Intn(40); {
+		case k < 16: // overflowing or filling insert
+			n := int64(r.Intn(capacity/4) + 1)
+			what, got, want = "Insert("+o+")", c.Insert(o, n), ref.Insert(o, n)
+		case k < 24:
+			n := int64(r.Intn(capacity/8) + 1)
+			what, got, want = "InsertDDIO("+o+")", c.InsertDDIO(o, n), ref.InsertDDIO(o, n)
+		case k < 32:
+			n := int64(r.Intn(capacity / 4))
+			what, got, want = "Evict("+o+")", c.Evict(o, n), ref.Evict(o, n)
+		case k < 34:
+			// Evict takes a negative count as an insert with no shrink,
+			// so the cache can run over capacity. A 1-byte insert by an
+			// empty owner then loses the victims' rounding to its own
+			// trim and goes below zero, which must read as absent.
+			n := -int64(r.Intn(capacity) + 1)
+			check(step, "Evict("+o+", negative)", c.Evict(o, n), ref.Evict(o, n))
+			check(step, "Evict(tiny)", c.Evict("tiny", capacity), ref.Evict("tiny", capacity))
+			what, got, want = "Insert(tiny)", c.Insert("tiny", 1), ref.Insert("tiny", 1)
+		default:
+			// A dominant owner fills nearly the whole cache, then a tiny
+			// insert by it leaves a rounding residual the inserter trim
+			// removes.
+			n := capacity - ref.occ["big"] - 3
+			check(step, "Insert(big)", c.Insert("big", n), ref.Insert("big", n))
+			tiny := 1 + int64(r.Intn(3))
+			what, got, want = "tiny Insert(big)", c.Insert("big", tiny), ref.Insert("big", tiny)
+		}
+		check(step, what, got, want)
+		check(step, "Total", c.Total(), ref.total)
+		for _, name := range owners {
+			check(step, "Occupancy("+name+")", c.Occupancy(name), ref.occ[name])
+			check(step, "Evicted("+name+")", c.Evicted(name), ref.evictions[name])
+		}
+		if got, want := c.Owners(), ref.Owners(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: Owners = %v, reference %v", step, got, want)
+		}
+	}
+	if ref.residualTrims == 0 || ref.belowZero == 0 {
+		t.Fatalf("the sequence trimmed an inserter %d times, %d of them below zero; want both > 0",
+			ref.residualTrims, ref.belowZero)
+	}
+}
+
+// TestLLCOverflowZeroAllocs pins the overflow path at zero allocations with
+// the thirteen owners of the xmem-colocate workload.
+func TestLLCOverflowZeroAllocs(t *testing.T) {
+	c, owners := llcWith13Owners()
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		o := owners[i%len(owners)]
+		i++
+		if c.Insert(o, 1<<20) == 0 {
+			t.Fatal("Insert did not overflow")
+		}
+		if leaked := c.InsertDDIO("dsa0", 1<<20); leaked == 1<<20 || c.Total() != c.Capacity() {
+			t.Fatalf("InsertDDIO did not overflow: leaked %d, total %d", leaked, c.Total())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("overflowing inserts allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// llcWith13Owners returns a full 105 MB LLC shared by the xmem-colocate
+// owners: eight X-Mem probes, four copier cores and one DSA device.
+func llcWith13Owners() (*LLC, []string) {
+	c := NewLLC(LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2})
+	var owners []string
+	for i := 0; i < 8; i++ {
+		owners = append(owners, fmt.Sprintf("xmem%d", i))
+	}
+	for i := 0; i < 4; i++ {
+		owners = append(owners, fmt.Sprintf("core%d", 10+i))
+	}
+	for _, o := range owners {
+		c.Insert(o, 15<<20)
+	}
+	c.InsertDDIO("dsa0", 8<<20)
+	return c, owners
+}
+
+func BenchmarkLLCInsertOverflow(b *testing.B) {
+	c, owners := llcWith13Owners()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Insert(owners[i%len(owners)], 64<<10)
 	}
 }
