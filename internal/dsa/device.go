@@ -2,7 +2,6 @@ package dsa
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dsasim/internal/mem"
 	"dsasim/internal/sim"
@@ -73,10 +72,9 @@ type Device struct {
 	probe Probe
 
 	// faults, when armed, injects deterministic page faults, WQ disable
-	// windows, and outages (see fault.go). offline is the outage flag,
-	// atomic because host-parallel submission paths read it.
+	// windows, and outages (see fault.go). offline is the outage flag.
 	faults  *FaultInjector
-	offline atomic.Bool
+	offline bool
 
 	stats DeviceStats
 }

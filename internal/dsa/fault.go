@@ -94,22 +94,22 @@ func (d *Device) InjectFaults(cfg FaultConfig) (*FaultInjector, error) {
 		}
 		wq, dur := d.wqs[w.WQ], w.Dur
 		d.E.At(w.At, func() {
-			wq.disabled.Store(true)
+			wq.disabled = true
 			d.stats.WQDisables++
 			wq.failQueued(StatusWQError, ErrWQDisabled)
 		})
-		d.E.At(w.At+dur, func() { wq.disabled.Store(false) })
+		d.E.At(w.At+dur, func() { wq.disabled = false })
 	}
 	for _, o := range cfg.Outages {
 		dur := o.Dur
 		d.E.At(o.At, func() {
-			d.offline.Store(true)
+			d.offline = true
 			d.stats.Outages++
 			for _, wq := range d.wqs {
 				wq.failQueued(StatusDeviceOffline, ErrDeviceOffline)
 			}
 		})
-		d.E.At(o.At+dur, func() { d.offline.Store(false) })
+		d.E.At(o.At+dur, func() { d.offline = false })
 	}
 	return inj, nil
 }
@@ -156,15 +156,14 @@ func (inj *FaultInjector) roll(d *Descriptor, now sim.Time) (off int64, ok bool)
 
 // Healthy reports whether the WQ front end accepts submissions right now:
 // the device is enabled and neither a WQ disable window nor a device
-// outage is in effect. Safe to read from host-parallel submission paths
-// (plane lanes, scheduler Picks); the flags are written only by
-// engine-domain fault events.
+// outage is in effect. Plane lanes and scheduler Picks read it to route
+// around a failure; only fault-injector events change it.
 func (w *WQ) Healthy() bool {
-	return w.Dev.enabled && !w.disabled.Load() && !w.Dev.offline.Load()
+	return w.Dev.enabled && !w.disabled && !w.Dev.offline
 }
 
 // Offline reports whether the device is inside an outage window.
-func (d *Device) Offline() bool { return d.offline.Load() }
+func (d *Device) Offline() bool { return d.offline }
 
 // failQueued completes every queued-but-undispatched descriptor with the
 // given terminal status. Dispatched work (on engines, or fetched into a

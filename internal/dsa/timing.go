@@ -71,12 +71,13 @@ type Timing struct {
 	// number of ticks, so software cannot request a tighter bound than
 	// the moderation hardware resolves.
 	IntrCoalesceTick time.Duration
-	// RingPush is the software cost of publishing one prepared descriptor
-	// into a WQ's lock-free submission ring (SubmitRing.TryPush): one CAS
-	// on the shared tail plus a 64-byte slot write. It is the only point
-	// where concurrent submitters to one ring serialize, and it is what a
-	// sharded submission plane pays instead of the service mutex's hold
-	// time.
+	// RingPush is the modelled software cost of publishing one prepared
+	// descriptor into a WQ's lock-free multi-producer submission ring: one
+	// CAS on the shared tail plus a 64-byte slot write. It is the only
+	// point where concurrent submitters to one ring serialize, and it is
+	// what a sharded submission plane pays instead of the service mutex's
+	// hold time. It prices the simulated CAS in virtual time; the
+	// single-threaded simulator's own ring needs no atomics.
 	RingPush time.Duration
 	// FaultReport is the device-side cost of detecting a page fault and
 	// writing the partial completion record (block-on-fault clear). The

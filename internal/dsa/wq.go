@@ -2,7 +2,6 @@ package dsa
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dsasim/internal/sim"
 )
@@ -45,13 +44,8 @@ type WQ struct {
 	q        sim.FIFO[*Completion]
 	occupied int // entries consumed (freed on dispatch to an engine)
 
-	// ring, when attached, is the lock-free software submission ring
-	// feeding this WQ's ENQCMD path (see SubmitRing / AttachRing).
-	ring *SubmitRing
-
-	// disabled marks a transient fault-injector disable window; atomic
-	// because host-parallel submission paths read it through Healthy.
-	disabled atomic.Bool
+	// disabled marks a transient fault-injector disable window.
+	disabled bool
 
 	// statistics
 	submitted int64
@@ -78,10 +72,10 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	if !w.Dev.enabled {
 		return nil, fmt.Errorf("dsa: device %s not enabled", w.Dev.Cfg.Name)
 	}
-	if w.Dev.offline.Load() {
+	if w.Dev.offline {
 		return nil, fmt.Errorf("dsa: %s: %w", w.Dev.Cfg.Name, ErrDeviceOffline)
 	}
-	if w.disabled.Load() {
+	if w.disabled {
 		return nil, fmt.Errorf("dsa: wq %d of %s: %w", w.ID, w.Dev.Cfg.Name, ErrWQDisabled)
 	}
 	if w.occupied >= w.Size {

@@ -117,7 +117,7 @@ func (ab *AutoBatcher) add(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
 	ab.pending = append(ab.pending, d)
 	f := &Future{t: ab.t, op: d.Op, ab: ab, start: p.Now()}
 	ab.futs = append(ab.futs, f)
-	ab.t.stats.coalesce.Add(1)
+	ab.t.stats.Coalesce++
 	limit := ab.t.policy.AutoBatch
 	if devMax := ab.t.S.maxBatch; limit > devMax {
 		limit = devMax

@@ -50,7 +50,7 @@ func (t *Tenant) submitChain(p *sim.Proc, c chain) (*Future, error) {
 		// token, however many per-socket slices placement shards it
 		// into: splitting is a placement decision, not extra work (a
 		// shed chain counts once in Stats.Shed).
-		if err := t.admit(p, p.Now(), &t.bucket, 1); err != nil {
+		if err := t.admit(p, &t.bucket, 1); err != nil {
 			failAll(c.futs, err)
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func (t *Tenant) submitChain(p *sim.Proc, c chain) (*Future, error) {
 	if groups == nil {
 		return t.portal(p, &c, c.descs, c.futs)
 	}
-	t.stats.splits.Add(int64(len(groups)))
+	t.stats.Splits += int64(len(groups))
 	parts := make([]*Future, 0, len(groups))
 	sub := make([]dsa.Descriptor, 0, len(c.descs))
 	var subFuts []*Future
@@ -102,7 +102,7 @@ func (t *Tenant) portal(p *sim.Proc, c *chain, descs []dsa.Descriptor, futs []*F
 		d.Flags &^= dsa.FlagFence
 		bytes = d.Size
 	} else {
-		t.stats.batches.Add(1)
+		t.stats.Batches++
 		// The parent carries Size 0; its payload is the children's.
 		d = dsa.Descriptor{Op: dsa.OpBatch, Descs: append([]dsa.Descriptor(nil), descs...)}
 		for i := range descs {
@@ -128,7 +128,7 @@ func (t *Tenant) portal(p *sim.Proc, c *chain, descs []dsa.Descriptor, futs []*F
 	start := p.Now()
 	comp, err := cl.TrySubmit(p, d, t.policy.MaxRetries)
 	if err != nil {
-		t.stats.failures.Add(1)
+		t.stats.Failures++
 		failAll(futs, err)
 		return nil, err
 	}

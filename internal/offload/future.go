@@ -242,7 +242,7 @@ func (f *Future) resolve(dur sim.Time) {
 		if sw != nil {
 			sw.failCounted = true
 		}
-		f.t.stats.failures.Add(1)
+		f.t.stats.Failures++
 	}
 }
 

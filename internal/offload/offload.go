@@ -37,7 +37,10 @@
 // left, fault/retry accounting) for futures, plane completions and
 // pipeline chain re-runs. The sharded
 // Plane is a second transport, not a second front end: its lanes push
-// descriptors into lock-free per-WQ rings instead of writing the portal.
+// descriptors into per-WQ rings that its drain feeds to the WQs, instead
+// of writing the portal. Like the engine, the plane is single-threaded:
+// the hardware's lock-free ring publish is priced in virtual time
+// (Timing.RingPush), not implemented with atomics.
 // Lanes admit and settle through the same two functions as chains:
 // Tenant.admit (closed check, token, shed or delay with the coalescing
 // floor, on the tenant's bucket or a lane's share) and Tenant.settle (an

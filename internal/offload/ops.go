@@ -140,14 +140,14 @@ func (t *Tenant) do(p *sim.Proc, d dsa.Descriptor, opts []OpOption) (*Future, er
 // resolved Future, charging the core time. A delta create reads both of
 // its inputs, so it counts 2n software bytes.
 func (t *Tenant) runSW(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
-	if t.closed.Load() {
+	if t.closed {
 		return nil, fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
 	start := p.Now()
 	rec, dur := dsa.RunOnCore(t.Core, &d)
 	res, err := decode(d.Op, rec)
 	if err != nil {
-		t.stats.failures.Add(1)
+		t.stats.Failures++
 		t.settle(dur, false)
 		res.Duration = dur
 		return completed(res, err), err
@@ -166,7 +166,7 @@ func (t *Tenant) runSW(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
 // latency since start.
 func (t *Tenant) coreDone(p *sim.Proc, res *Result, dur sim.Time, bytes int64, start sim.Time) {
 	p.Sleep(dur)
-	t.stats.swOps.Add(1)
-	t.stats.swBytes.Add(bytes)
+	t.stats.SWOps++
+	t.stats.SWBytes += bytes
 	res.Duration = p.Now() - start
 }

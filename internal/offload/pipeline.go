@@ -362,10 +362,10 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 	if len(pl.stages) == 0 {
 		return nil, fmt.Errorf("offload: empty pipeline")
 	}
-	if err := t.admit(p, p.Now(), &t.bucket, 1); err != nil {
+	if err := t.admit(p, &t.bucket, 1); err != nil {
 		return nil, err
 	}
-	t.stats.pipelines.Add(1)
+	t.stats.Pipelines++
 	pl.home = pl.homeSocket()
 	pl.scratchBufs = pl.scratchBufs[:0]
 	for _, size := range pl.scratchSizes {
@@ -510,7 +510,7 @@ func (pl *Pipeline) flush(p *sim.Proc) error {
 					continue
 				}
 			}
-			t.stats.failures.Add(1)
+			t.stats.Failures++
 			return pl.chainError(&res.Record, err)
 		}
 		if len(pl.chainIdx) == 1 {

@@ -1,18 +1,22 @@
-// The sharded submission plane: per-shard lanes feeding lock-free
-// per-WQ rings, with pressure/placement signals aggregated periodically
-// instead of read synchronously on every submission.
+// The sharded submission plane: per-shard lanes feeding per-WQ rings,
+// with pressure/placement signals aggregated periodically instead of read
+// synchronously on every submission.
 //
 // The classic Tenant path serializes every submitter through shared
 // state: one admission bucket, one AutoBatcher, one coalescer rebuild
 // check, and scheduler Picks that read live EWMAs. One submitter never
 // notices; at 64 the shared state is the queue. The plane shards the
-// tenant-side state per submission lane — each submitting context owns a
+// tenant-side state per submission lane — each submitting process owns a
 // lane and touches nothing shared on the fast path — and funnels
-// descriptors into each WQ's ENQCMD path through a bounded lock-free
-// MPSC ring (dsa.SubmitRing), whose push is a couple of atomics. The
-// global signals the classic path read synchronously (WQ occupancy,
-// queueing delay) become a periodically published Snapshot: lanes load
-// one pointer instead of syncing the telemetry hub per Pick.
+// descriptors into each WQ's ENQCMD path through a bounded ring. The
+// modelled ring is the hardware's lock-free multi-producer queue: its
+// publish CAS is charged in virtual time (Timing.RingPush through a
+// sim.Token). The simulator runs every process on one goroutine, so the
+// ring itself (submitRing) is a plain FIFO and the plane's counters are
+// plain fields. The global signals the classic path read synchronously
+// (WQ occupancy, queueing delay) become a periodically published
+// occupancy vector: lanes read it instead of syncing the telemetry hub
+// per Pick.
 //
 // Scheduling semantics are preserved, not replaced: lane candidate sets
 // are precomputed from the same Topology express/rest partition the
@@ -27,7 +31,6 @@ package offload
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dsasim/internal/dsa"
@@ -35,22 +38,22 @@ import (
 )
 
 // planeAggCadence is the shard→global aggregation period: how often the
-// drain republishes the Snapshot lanes route on, and the sync cadence
+// drain republishes the occupancy lanes route on, and the sync cadence
 // installed on the telemetry hub so policy reads between publishes share
 // one merge. A couple of microseconds keeps routing within one device
 // service quantum of the truth without per-submission synchronization.
 const planeAggCadence = 2 * time.Microsecond
 
 // Plane is a tenant's sharded submission front end: N Lanes (one per
-// submitting context) over one lock-free SubmitRing per service WQ, a
-// drain that moves ring entries into the device WQs and publishes the
-// routing Snapshot, and completion-side wakeup moderation. Build one
-// with Tenant.NewPlane; hand each submitter its own Lane.
+// submitting process) over one submission ring per service WQ, a drain
+// that moves ring entries into the device WQs and publishes the routing
+// occupancy, and completion-side wakeup moderation. Build one with
+// Tenant.NewPlane; hand each submitter its own Lane.
 type Plane struct {
 	t     *Tenant
 	lanes []*Lane
 	wqs   []*dsa.WQ
-	rings []*dsa.SubmitRing
+	rings []submitRing
 
 	// ringTok serializes concurrent virtual-time pushes into one ring:
 	// a capacity-1 slot held for Timing.RingPush models the CAS that
@@ -60,22 +63,22 @@ type Plane struct {
 
 	// lsCand/bulkCand are the ring indices each QoS class may target,
 	// precomputed from the Topology express/rest partition on the
-	// tenant's socket so the host fast path never walks WQ slices.
+	// tenant's socket so routing never walks WQ slices.
 	lsCand   []int
 	bulkCand []int
 	all      []int
 
 	// pending counts entries pushed to rings but not yet accepted by a
 	// WQ; inflight counts WQ-accepted descriptors not yet completed.
-	// Both are atomics: lanes increment pending from concurrent host
-	// goroutines while the drain and completion hooks run engine-side.
-	pending  atomic.Int64
-	inflight atomic.Int64
+	pending  int64
+	inflight int64
 
-	// snap is the periodically published routing signal (per-ring WQ
-	// occupancy). Lanes Load it — one atomic pointer read replaces the
-	// synchronous telemetry sync the classic Pick path pays.
-	snap atomic.Pointer[Snapshot]
+	// occ is the periodically published routing signal: each ring's WQ
+	// occupancy at the last publish, at lastPub. Lanes add each ring's
+	// live length on top, so routing reacts to their own bursts
+	// immediately and to device drain at the aggregation cadence.
+	occ     []int32
+	lastPub sim.Time
 
 	// Completion-side wakeup moderation: completed() broadcasts doneSig
 	// every wakeEvery-th completion (resolved from the tenant's
@@ -83,39 +86,24 @@ type Plane struct {
 	// 64 outstanding ops is not woken 64 times.
 	doneSig   sim.Signal
 	wakeEvery int64
-	compCount atomic.Int64
+	compCount int64
 
 	// onLat, when set, observes the stamped latency of every completion
-	// (see OnCompletion). Engine-domain: installed before traffic starts,
-	// invoked from the device completion path.
+	// (see OnCompletion). Installed before traffic starts, invoked from
+	// the device completion path.
 	onLat func(lat sim.Time, ok bool)
 
 	// dead marks rings whose WQ died (disable window or device outage):
-	// the drain detached them from their WQs and redistributed their
-	// entries; lanes skip them until the drain observes the WQ healthy
-	// again and reattaches. Atomic because lanes read from host
-	// goroutines while the drain flips them engine-side.
-	dead []atomic.Bool
+	// the drain redistributed their entries, and lanes skip them until
+	// the drain observes the WQ healthy again.
+	dead []bool
 
 	drainOn bool
-	lastPub sim.Time
-	pubbed  bool
-}
-
-// Snapshot is the plane's published routing signal: the occupancy of
-// each ring's WQ at publish time. Lanes add each ring's live length on
-// top, so routing reacts to their own bursts immediately and to device
-// drain at the aggregation cadence.
-type Snapshot struct {
-	At  sim.Time
-	Occ []int32 // indexed like Plane.rings
 }
 
 // Lane is one submission shard: lane-local admission bucket and routing
 // cursor, shared nothing. A Lane belongs to exactly one submitting
-// context (goroutine in host-parallel benchmarks, process in the
-// simulation) — its methods are not safe for concurrent use on the
-// same Lane, which is the point.
+// process.
 type Lane struct {
 	pl     *Plane
 	bucket tokenBucket
@@ -123,10 +111,9 @@ type Lane struct {
 }
 
 // NewPlane attaches a sharded submission plane with nlanes lanes to the
-// tenant. One plane per tenant, one ring per service WQ; the telemetry
-// hub switches to periodic aggregation at the plane's cadence. Returns
-// an error if the tenant already has a plane or any service WQ already
-// carries a submission ring (one plane per WQ set).
+// tenant. One plane per tenant, one ring per service WQ, sized to the
+// WQ; the telemetry hub switches to periodic aggregation at the plane's
+// cadence. Returns an error if the tenant already has a plane.
 func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	if nlanes < 1 {
 		return nil, fmt.Errorf("offload: plane needs at least 1 lane, got %d", nlanes)
@@ -135,20 +122,16 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		return nil, fmt.Errorf("offload: tenant already has a submission plane")
 	}
 	wqs := t.S.wqs
-	for _, wq := range wqs {
-		if wq.Ring() != nil {
-			return nil, fmt.Errorf("offload: wq %d of %s already has a submission ring", wq.ID, wq.Dev.Cfg.Name)
-		}
-	}
 	pl := &Plane{
 		t:       t,
 		wqs:     wqs,
-		rings:   make([]*dsa.SubmitRing, len(wqs)),
+		rings:   make([]submitRing, len(wqs)),
 		ringTok: make([]*sim.Token, len(wqs)),
-		dead:    make([]atomic.Bool, len(wqs)),
+		occ:     make([]int32, len(wqs)),
+		dead:    make([]bool, len(wqs)),
 	}
 	for i, wq := range wqs {
-		pl.rings[i] = wq.AttachRing(wq.Size)
+		pl.rings[i] = newSubmitRing(wq.Size)
 		pl.ringTok[i] = sim.NewToken(1)
 	}
 	pl.lsCand, pl.bulkCand = pl.candidates()
@@ -164,11 +147,11 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	pl.lanes = make([]*Lane, nlanes)
 	for i := range pl.lanes {
 		// Cursors start strided so lanes spread across the candidate
-		// set instead of all hammering ring 0 before the first Snapshot.
+		// set instead of all hammering ring 0 before the first publish.
 		pl.lanes[i] = &Lane{pl: pl, cursor: i}
 	}
 	t.S.met.hub.SetSyncCadence(planeAggCadence)
-	pl.Publish(t.S.E.Now())
+	pl.publish(t.S.E.Now())
 	t.plane = pl
 	return pl, nil
 }
@@ -204,7 +187,7 @@ func (pl *Plane) candidates() (ls, bulk []int) {
 // Plane returns the tenant's submission plane, or nil before NewPlane.
 func (t *Tenant) Plane() *Plane { return t.plane }
 
-// Lane returns the i-th lane. Each submitting context must own its lane
+// Lane returns the i-th lane. Each submitting process must own its lane
 // exclusively.
 func (pl *Plane) Lane(i int) *Lane { return pl.lanes[i] }
 
@@ -226,21 +209,18 @@ func (pl *Plane) WQs() []*dsa.WQ { return pl.wqs }
 func (pl *Plane) OnCompletion(fn func(lat sim.Time, ok bool)) { pl.onLat = fn }
 
 // Pending returns entries pushed to rings but not yet WQ-accepted.
-func (pl *Plane) Pending() int64 { return pl.pending.Load() }
+func (pl *Plane) Pending() int64 { return pl.pending }
 
 // Inflight returns WQ-accepted descriptors not yet completed.
-func (pl *Plane) Inflight() int64 { return pl.inflight.Load() }
+func (pl *Plane) Inflight() int64 { return pl.inflight }
 
-// Publish rebuilds and publishes the routing Snapshot from live WQ
-// occupancy. The drain calls it at the aggregation cadence; host-side
-// tests and benchmarks call it directly (there is no drain off-engine).
-func (pl *Plane) Publish(now sim.Time) {
-	s := &Snapshot{At: now, Occ: make([]int32, len(pl.wqs))}
+// publish refreshes the routing occupancy from live WQ occupancy. The
+// drain calls it at the aggregation cadence.
+func (pl *Plane) publish(now sim.Time) {
 	for i, wq := range pl.wqs {
-		s.Occ[i] = int32(wq.Occupancy())
+		pl.occ[i] = int32(wq.Occupancy())
 	}
-	pl.snap.Store(s)
-	pl.lastPub, pl.pubbed = now, true
+	pl.lastPub = now
 }
 
 // cands returns the ring indices the tenant's QoS class may target.
@@ -251,11 +231,10 @@ func (pl *Plane) cands() []int {
 	return pl.bulkCand
 }
 
-// healthy reports whether ring i can take work: not detached by a
+// healthy reports whether ring i can take work: not marked dead by a
 // failover and its WQ not in a disable window or outage — the WQ flag
-// routes around a failure the drain has not detached yet. Two flag loads,
-// allocation-free and safe from host goroutines.
-func (pl *Plane) healthy(i int) bool { return !pl.dead[i].Load() && pl.wqs[i].Healthy() }
+// routes around a failure the drain has not seen yet.
+func (pl *Plane) healthy(i int) bool { return !pl.dead[i] && pl.wqs[i].Healthy() }
 
 // pickRing routes one submission: among the lane's class candidates,
 // the healthy ring whose published WQ occupancy plus live ring backlog
@@ -281,17 +260,13 @@ func (l *Lane) pickRing() int {
 // leastLoaded returns the healthy ring of set, scanned from offset, with
 // the smallest published occupancy plus live ring length, or -1.
 func (l *Lane) leastLoaded(set []int, offset int) int {
-	snap := l.pl.snap.Load()
 	best, bestLoad := -1, int32(0)
 	for k := range set {
 		i := set[(offset+k)%len(set)]
 		if !l.pl.healthy(i) {
 			continue
 		}
-		load := int32(l.pl.rings[i].Len())
-		if snap != nil {
-			load += snap.Occ[i]
-		}
+		load := int32(l.pl.rings[i].length()) + l.pl.occ[i]
 		if best < 0 || load < bestLoad {
 			best, bestLoad = i, load
 		}
@@ -306,7 +281,7 @@ func (l *Lane) leastLoaded(set []int, offset int) int {
 func (pl *Plane) pushHealthy(d dsa.Descriptor, tag uint64) bool {
 	for _, set := range [2][]int{pl.cands(), pl.all} {
 		for _, i := range set {
-			if pl.healthy(i) && pl.rings[i].TryPush(d, tag) {
+			if pl.healthy(i) && pl.rings[i].push(d, tag) {
 				return true
 			}
 		}
@@ -314,39 +289,16 @@ func (pl *Plane) pushHealthy(d dsa.Descriptor, tag uint64) bool {
 	return false
 }
 
-// TrySubmit is the host-domain fast path: the tenant's admit on the
-// lane's share, a Snapshot-routed ring pick, and one lock-free push — no
-// engine, no locks, no allocation. With no process to delay, it returns
-// ErrAdmission whenever the lane's bucket is empty, and dsa.ErrWQFull
-// when the picked ring is full and no other healthy ring takes the entry
-// (the caller retries or sheds, as with bounded-retry submission).
-// now is the submitter's notion of virtual time; concurrent callers on
-// distinct lanes never share state beyond the rings' atomics.
-func (l *Lane) TrySubmit(now sim.Time, d dsa.Descriptor) error {
-	pl := l.pl
-	if err := pl.t.admit(nil, now, &l.bucket, len(pl.lanes)); err != nil {
-		return err
-	}
-	pl.t.stamp(&d)
-	idx := l.pickRing()
-	stamp := stampTag(now)
-	if !pl.rings[idx].TryPush(d, stamp) && !pl.pushHealthy(d, stamp) {
-		pl.t.stats.failures.Add(1)
-		return dsa.ErrWQFull
-	}
-	pl.t.accepted(d.Size)
-	pl.pending.Add(1)
-	return nil
-}
-
-// Submit is the simulation-domain path: the same lane-local admission
-// and routing as TrySubmit, but charging virtual time the way hardware
-// does — the ENQCMD issue in the submitter's own timeline (64 procs pay
-// it in parallel, not in series) and the ring's slot-publish CAS as a
-// capacity-1 token held for Timing.RingPush, the only serialization
-// point left between submitters sharing a ring. The drain is scheduled
-// lazily and the submission completes through the normal device path.
-// The completion is stamped with the submit instant (see SubmitStamped).
+// Submit admits d on the lane's share of the tenant's rate, routes it to
+// the least-loaded healthy ring, and pushes it, charging virtual time the
+// way hardware does: the ENQCMD issue in the submitter's own timeline
+// (64 procs pay it in parallel, not in series) and the ring's
+// slot-publish CAS as a capacity-1 token held for Timing.RingPush, the
+// only serialization point left between submitters sharing a ring. A full
+// ring makes the submitter wait a poll gap and retry. The drain is
+// scheduled lazily and the submission completes through the normal
+// device path. The completion is stamped with the submit instant (see
+// SubmitStamped).
 func (l *Lane) Submit(p *sim.Proc, d dsa.Descriptor) error {
 	return l.SubmitStamped(p, d, p.Now())
 }
@@ -362,7 +314,7 @@ func (l *Lane) Submit(p *sim.Proc, d dsa.Descriptor) error {
 // the standard guard against coordinated omission.
 func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) error {
 	pl := l.pl
-	if err := pl.t.admit(p, p.Now(), &l.bucket, len(pl.lanes)); err != nil {
+	if err := pl.t.admit(p, &l.bucket, len(pl.lanes)); err != nil {
 		return err
 	}
 	pl.t.stamp(&d)
@@ -375,19 +327,18 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	// The portal write itself is per-submitter work: each lane's proc
 	// pays it in its own virtual timeline.
 	p.Sleep(tm.SubmitENQCMD)
-	for !pl.rings[idx].TryPush(d, stampTag(stamp)) {
+	for !pl.rings[idx].push(d, stampTag(stamp)) {
 		p.Sleep(tm.PollGap)
 	}
 	pl.t.accepted(d.Size)
-	pl.pending.Add(1)
+	pl.pending++
 	pl.ensureDrain()
 	return nil
 }
 
-// ensureDrain spawns the drain process if it is not already running.
-// Engine-domain only (the simulation is single-threaded, so the check
-// cannot race); the drain exits when the rings empty, keeping the event
-// loop free of perpetual timers.
+// ensureDrain spawns the drain process if it is not already running. The
+// drain exits when the rings empty, keeping the event loop free of
+// perpetual timers.
 func (pl *Plane) ensureDrain() {
 	if pl.drainOn {
 		return
@@ -402,22 +353,21 @@ func (pl *Plane) ensureDrain() {
 // the popped entry and retries after a poll gap; a *dead* WQ (disable
 // window or device outage — Submit returns dsa.ErrWQDisabled or
 // dsa.ErrDeviceOffline, not ErrWQFull) triggers failover: the drain
-// detaches the dead ring and redistributes its entries to healthy rings,
-// then reattaches once the WQ reports healthy again. The Snapshot
+// marks the ring dead and redistributes its entries to healthy rings,
+// then revives it once the WQ reports healthy again. The occupancy
 // republishes at the aggregation cadence; the process exits when the
 // rings run dry.
 func (pl *Plane) drain(p *sim.Proc) {
-	held := make([]dsa.RingEntry, len(pl.rings))
+	held := make([]ringEntry, len(pl.rings))
 	holding := make([]bool, len(pl.rings))
 	for {
 		progressed := false
 		blocked := false
 		for i := range pl.rings {
-			if pl.dead[i].Load() {
+			if pl.dead[i] {
 				if pl.wqs[i].Healthy() {
-					// The WQ healed: reattach its ring and resume.
-					pl.wqs[i].ReattachRing(pl.rings[i])
-					pl.dead[i].Store(false)
+					// The WQ healed: resume feeding it.
+					pl.dead[i] = false
 				} else {
 					// Sweep entries lanes raced into the dead ring while
 					// every candidate was down.
@@ -427,13 +377,13 @@ func (pl *Plane) drain(p *sim.Proc) {
 			}
 			for {
 				if !holding[i] {
-					e, ok := pl.rings[i].Pop()
+					e, ok := pl.rings[i].pop()
 					if !ok {
 						break
 					}
 					held[i], holding[i] = e, true
 				}
-				comp, err := pl.wqs[i].Submit(held[i].D)
+				comp, err := pl.wqs[i].Submit(held[i].d)
 				if err != nil {
 					if errors.Is(err, dsa.ErrWQDisabled) || errors.Is(err, dsa.ErrDeviceOffline) {
 						pl.failover(i, held, holding)
@@ -443,17 +393,17 @@ func (pl *Plane) drain(p *sim.Proc) {
 					}
 					break
 				}
-				comp.SetOnDone(pl.completed, held[i].Tag)
+				comp.SetOnDone(pl.completed, held[i].tag)
 				holding[i] = false
-				pl.inflight.Add(1)
-				pl.pending.Add(-1)
+				pl.inflight++
+				pl.pending--
 				progressed = true
 			}
 		}
 		if now := p.Now(); progressed || now >= pl.lastPub+planeAggCadence {
-			pl.Publish(now)
+			pl.publish(now)
 		}
-		if pl.pending.Load() == 0 {
+		if pl.pending == 0 {
 			pl.drainOn = false
 			return
 		}
@@ -468,16 +418,14 @@ func (pl *Plane) drain(p *sim.Proc) {
 	}
 }
 
-// failover handles a dead WQ discovered by the drain: detach its ring so
-// a healed queue can reattach cleanly, mark it dead for the lanes, and
-// redistribute the held entry plus everything queued behind it onto
-// healthy rings. Entries with nowhere to go are shed (counted as
-// failures) rather than stranded behind a dead queue.
-func (pl *Plane) failover(i int, held []dsa.RingEntry, holding []bool) {
-	if !pl.dead[i].Load() {
-		pl.dead[i].Store(true)
-		pl.wqs[i].DetachRing()
-		pl.t.stats.failovers.Add(1)
+// failover handles a dead WQ discovered by the drain: mark its ring dead
+// for the lanes and redistribute the held entry plus everything queued
+// behind it onto healthy rings. Entries with nowhere to go are shed
+// (counted as failures) rather than stranded behind a dead queue.
+func (pl *Plane) failover(i int, held []ringEntry, holding []bool) {
+	if !pl.dead[i] {
+		pl.dead[i] = true
+		pl.t.stats.Failovers++
 		pl.t.S.met.failover()
 	}
 	if holding[i] {
@@ -490,7 +438,7 @@ func (pl *Plane) failover(i int, held []dsa.RingEntry, holding []bool) {
 // sweepDead drains a dead ring's entries onto healthy rings.
 func (pl *Plane) sweepDead(i int) {
 	for {
-		e, ok := pl.rings[i].Pop()
+		e, ok := pl.rings[i].pop()
 		if !ok {
 			return
 		}
@@ -501,12 +449,12 @@ func (pl *Plane) sweepDead(i int) {
 // redistribute re-queues one failed-over entry onto a healthy ring and
 // sheds it when every ring is down or full: an accepted op that can no
 // longer run, so it settles as a failure.
-func (pl *Plane) redistribute(e dsa.RingEntry) {
-	if pl.pushHealthy(e.D, e.Tag) {
+func (pl *Plane) redistribute(e ringEntry) {
+	if pl.pushHealthy(e.d, e.tag) {
 		return
 	}
-	pl.pending.Add(-1)
-	pl.settle(e.Tag, false)
+	pl.pending--
+	pl.settle(e.tag, false)
 }
 
 // Ring tags carry the submission's latency stamp in the low 56 bits
@@ -543,10 +491,14 @@ func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 		}
 	}
 	pl.settle(tag, ok)
-	left := pl.inflight.Add(-1)
-	if left == 0 || pl.compCount.Add(1)%pl.wakeEvery == 0 {
-		pl.doneSig.Broadcast(pl.t.S.E)
+	pl.inflight--
+	if pl.inflight > 0 {
+		pl.compCount++
+		if pl.compCount%pl.wakeEvery != 0 {
+			return
+		}
 	}
+	pl.doneSig.Broadcast(pl.t.S.E)
 }
 
 // settle ends one plane op: a terminal failure counts toward
@@ -555,7 +507,7 @@ func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 func (pl *Plane) settle(tag uint64, ok bool) {
 	lat := pl.t.S.E.Now() - tagStamp(tag)
 	if !ok {
-		pl.t.stats.failures.Add(1)
+		pl.t.stats.Failures++
 	}
 	pl.t.settle(lat, ok)
 	if pl.onLat != nil {
@@ -573,8 +525,8 @@ func (pl *Plane) requeue(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64
 		return false
 	}
 	pl.t.retried()
-	pl.inflight.Add(-1)
-	pl.pending.Add(1)
+	pl.inflight--
+	pl.pending++
 	pl.ensureDrain()
 	return true
 }
@@ -584,23 +536,20 @@ func (pl *Plane) requeue(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64
 // full barrier. Wakeups are moderated by the plane's completion hook,
 // so deep pipelines pay one wakeup per coalescing window, not per op.
 func (pl *Plane) WaitInflight(p *sim.Proc, max int64) {
-	for pl.pending.Load()+pl.inflight.Load() > max {
+	for pl.pending+pl.inflight > max {
 		pl.ensureDrain()
 		p.Wait(&pl.doneSig)
 	}
 }
 
-// Close detaches the plane from its WQ rings so a successor plane (a
-// replacement tenant's, under churn) can attach. It refuses while work
-// is outstanding — WaitInflight(p, 0) first — because the rings' single
-// consumer is this plane's drain. The tenant is left planeless, not
-// closed: Tenant.Close is the lifecycle call, this is its plane half.
+// Close detaches the plane from its tenant, so the tenant may build a new
+// one. It refuses while work is outstanding — WaitInflight(p, 0) first —
+// because only this plane's drain and completion hook can settle it. The
+// tenant is left planeless, not closed: Tenant.Close is the lifecycle
+// call, this is its plane half.
 func (pl *Plane) Close() error {
-	if n := pl.pending.Load() + pl.inflight.Load(); n != 0 {
+	if n := pl.pending + pl.inflight; n != 0 {
 		return fmt.Errorf("offload: plane closed with %d operations outstanding", n)
-	}
-	for _, wq := range pl.wqs {
-		wq.DetachRing()
 	}
 	pl.t.plane = nil
 	return nil

@@ -2,7 +2,6 @@ package offload_test
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,20 +28,13 @@ func planeRig(t *testing.T, sockets, lanes int, class offload.QoSClass, wqcfg ..
 }
 
 func TestPlaneOnePerWQSet(t *testing.T) {
-	r, tn, _ := planeRig(t, 1, 2, offload.Bulk)
+	_, tn, _ := planeRig(t, 1, 2, offload.Bulk)
 	if _, err := tn.NewPlane(2); err == nil {
 		t.Fatal("second plane on one tenant did not fail")
 	}
-	svc2, err := offload.NewService(r.e, r.sys, r.wqs())
+	tn2, err := tn.S.NewTenant()
 	if err != nil {
 		t.Fatal(err)
-	}
-	tn2, err := svc2.NewTenant()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tn2.NewPlane(2); err == nil {
-		t.Fatal("plane over already-ringed WQs did not fail")
 	}
 	if _, err := tn2.NewPlane(0); err == nil {
 		t.Fatal("zero-lane plane did not fail")
@@ -51,8 +43,8 @@ func TestPlaneOnePerWQSet(t *testing.T) {
 
 // TestPlaneQoSCandidates checks the lanes honor the same express/rest
 // reservation the PriorityAware Pick path applies: a latency-sensitive
-// tenant's pushes land only on the top-priority WQ rings, a bulk
-// tenant's only on the rest.
+// tenant's submissions land only on the top-priority WQ, a bulk tenant's
+// only on the rest.
 func TestPlaneQoSCandidates(t *testing.T) {
 	cfg := []dsa.WQConfig{
 		{Mode: dsa.Shared, Size: 32, Priority: 10},
@@ -65,48 +57,27 @@ func TestPlaneQoSCandidates(t *testing.T) {
 		{offload.LatencySensitive, 10},
 		{offload.Bulk, 1},
 	} {
-		_, _, pl := planeRig(t, 1, 2, tc.class, cfg...)
-		lane := pl.Lane(0)
-		for i := 0; i < 8; i++ {
-			if err := lane.TrySubmit(0, dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}); err != nil {
-				t.Fatal(err)
+		r, tn, pl := planeRig(t, 1, 2, tc.class, cfg...)
+		src, dst := tn.Alloc(4096), tn.Alloc(4096)
+		r.run(func(p *sim.Proc) {
+			lane := pl.Lane(0)
+			for i := 0; i < 8; i++ {
+				if err := lane.Submit(p, dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}
+			pl.WaitInflight(p, 0)
+		})
 		for _, wq := range pl.WQs() {
-			got := wq.Ring().Len()
+			got := wq.Submitted()
 			if wq.Priority == tc.wantPri && got != 8 {
-				t.Errorf("%v: priority-%d ring holds %d entries, want 8", tc.class, wq.Priority, got)
+				t.Errorf("%v: priority-%d WQ accepted %d descriptors, want 8", tc.class, wq.Priority, got)
 			}
 			if wq.Priority != tc.wantPri && got != 0 {
-				t.Errorf("%v: priority-%d ring holds %d entries, want 0", tc.class, wq.Priority, got)
+				t.Errorf("%v: priority-%d WQ accepted %d descriptors, want 0", tc.class, wq.Priority, got)
 			}
 		}
-	}
-}
-
-// TestPlaneRoutingLeastLoaded checks the snapshot+backlog routing: with
-// one ring pre-loaded, new submissions spread to the emptier rings.
-func TestPlaneRoutingLeastLoaded(t *testing.T) {
-	cfg := []dsa.WQConfig{
-		{Mode: dsa.Shared, Size: 32},
-		{Mode: dsa.Shared, Size: 32},
-	}
-	_, _, pl := planeRig(t, 1, 1, offload.Bulk, cfg...)
-	wqs := pl.WQs()
-	// Pre-load ring 0 out of band, as a sibling lane's burst would.
-	for i := 0; i < 6; i++ {
-		if !wqs[0].Ring().TryPush(dsa.Descriptor{Op: dsa.OpNop}, 0) {
-			t.Fatal("pre-load push failed")
-		}
-	}
-	lane := pl.Lane(0)
-	for i := 0; i < 6; i++ {
-		if err := lane.TrySubmit(0, dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := wqs[1].Ring().Len(); got != 6 {
-		t.Errorf("ring 1 holds %d entries, want all 6 routed around the backlog", got)
 	}
 }
 
@@ -114,22 +85,27 @@ func TestPlaneRoutingLeastLoaded(t *testing.T) {
 // shard of the tenant rate: every lane admits its burst share, then
 // sheds, without any lane stealing a sibling's tokens.
 func TestPlaneAdmissionShards(t *testing.T) {
-	_, tn, pl := planeRig(t, 1, 4, offload.Bulk)
+	r, tn, pl := planeRig(t, 1, 4, offload.Bulk)
 	pol := tn.Policy()
 	pol.AdmitRate = 1000 // ~1 token/ms: nothing re-accrues within the test
 	pol.AdmitBurst = 4   // one per lane
+	pol.AdmitWait = false
 	tn.SetPolicy(pol)
-	d := dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}
-	for i := 0; i < pl.Lanes(); i++ {
-		if err := pl.Lane(i).TrySubmit(0, d); err != nil {
-			t.Fatalf("lane %d burst submission shed: %v", i, err)
+	src, dst := tn.Alloc(4096), tn.Alloc(4096)
+	d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
+	r.run(func(p *sim.Proc) {
+		for i := 0; i < pl.Lanes(); i++ {
+			if err := pl.Lane(i).Submit(p, d); err != nil {
+				t.Errorf("lane %d burst submission shed: %v", i, err)
+			}
 		}
-	}
-	for i := 0; i < pl.Lanes(); i++ {
-		if err := pl.Lane(i).TrySubmit(0, d); !errors.Is(err, offload.ErrAdmission) {
-			t.Fatalf("lane %d over-burst submission err = %v, want ErrAdmission", i, err)
+		for i := 0; i < pl.Lanes(); i++ {
+			if err := pl.Lane(i).Submit(p, d); !errors.Is(err, offload.ErrAdmission) {
+				t.Errorf("lane %d over-burst submission err = %v, want ErrAdmission", i, err)
+			}
 		}
-	}
+		pl.WaitInflight(p, 0)
+	})
 	if s := tn.Stats(); s.HWOps != 4 || s.Shed != 4 {
 		t.Errorf("stats = %d admitted / %d shed, want 4/4", s.HWOps, s.Shed)
 	}
@@ -175,56 +151,72 @@ func TestPlaneSimSubmitCompletes(t *testing.T) {
 	}
 }
 
-// TestSubmitZeroAllocsParallel is the satellite alloc gate: the host
-// fast path must stay allocation-free under parallel submitters, the
-// property that makes 64-goroutine scaling possible at all.
-func TestSubmitZeroAllocsParallel(t *testing.T) {
-	_, _, pl := planeRig(t, 1, 64, offload.Bulk,
-		dsa.WQConfig{Mode: dsa.Shared, Size: 128})
-	d := dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}
-	var next atomic.Int64
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			lane := pl.Lane(int(next.Add(1)-1) % pl.Lanes())
-			var now sim.Time
-			for pb.Next() {
-				now += 100
-				// A full ring sheds with a sentinel error — still
-				// allocation-free, so saturation cannot mask a leak.
-				_ = lane.TrySubmit(now, d)
-			}
-		})
-	})
-	if allocs := res.AllocsPerOp(); allocs != 0 {
-		t.Fatalf("Lane.TrySubmit allocates %d times per op under RunParallel, want 0", allocs)
-	}
-}
-
-// TrySubmit pushes like every other plane sweep: when the picked ring is
-// full it detours to another healthy ring — cross-socket beats failing
-// the op — and never lands an entry behind a WQ that is down.
-func TestTrySubmitDetoursOnlyToHealthyRings(t *testing.T) {
+// TestPlaneSubmitAvoidsDisabledWQs checks a lane never lands an entry
+// behind a WQ that is down: with one WQ per socket in a disable window,
+// every submission goes to the tenant socket's healthy WQ without a drain
+// failover, and a full ring makes the submitter wait rather than detour.
+func TestPlaneSubmitAvoidsDisabledWQs(t *testing.T) {
 	cfg := []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}, {Mode: dsa.Dedicated, Size: 32}}
-	r, _, pl := planeRig(t, 2, 1, offload.Bulk, cfg...)
+	r, tn, pl := planeRig(t, 2, 1, offload.Bulk, cfg...)
 	down := sim.Time(time.Millisecond)
 	for dev, wq := range []int{1, 0} {
 		if _, err := r.devs[dev].InjectFaults(dsa.FaultConfig{WQDisables: []dsa.WQDisable{{WQ: wq, Dur: down}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r.e.RunUntil(1) // the disable windows open
 	wqs := pl.WQs() // socket 0's two WQs, then socket 1's
-	lane := pl.Lane(0)
-	d := dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}
-	for i := 0; i < wqs[0].Ring().Cap()+1; i++ {
-		if err := lane.TrySubmit(1, d); err != nil {
-			t.Fatalf("submission %d: %v", i, err)
+	const n = 33    // one more than the ring holds
+	src, dst := tn.Alloc(4096), tn.Alloc(4096)
+	d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
+	r.run(func(p *sim.Proc) {
+		p.Sleep(1) // the disable windows open
+		lane := pl.Lane(0)
+		for i := 0; i < n; i++ {
+			if err := lane.Submit(p, d); err != nil {
+				t.Errorf("submission %d: %v", i, err)
+				return
+			}
+		}
+		pl.WaitInflight(p, 0)
+		if p.Now() >= down {
+			t.Errorf("burst outlasted the disable windows (%v)", p.Now())
+		}
+	})
+	for i, want := range []int64{n, 0, 0, 0} {
+		if got := wqs[i].Submitted(); got != want {
+			t.Errorf("WQ %d accepted %d descriptors, want %d", i, got, want)
 		}
 	}
-	for i, want := range []int{wqs[0].Ring().Cap(), 0, 0, 1} {
-		if got := wqs[i].Ring().Len(); got != want {
-			t.Errorf("ring %d holds %d entries, want %d", i, got, want)
+	if s := tn.Stats(); s.Failovers != 0 {
+		t.Errorf("drain failed over %d rings: an entry landed behind a disabled WQ", s.Failovers)
+	}
+}
+
+// TestPlaneBurstAllocs pins the host allocations of one plane burst on
+// the simulated path: Lane.Submit, the drain, device completion and
+// WaitInflight(p, 0). Publishing the routing occupancy allocates nothing;
+// more than half of the count is the drain process, which a lone
+// submitter respawns for every op.
+func TestPlaneBurstAllocs(t *testing.T) {
+	const burst, want = 64, 1311
+	r, tn, pl := planeRig(t, 1, 1, offload.Bulk)
+	src, dst := tn.Alloc(4096), tn.Alloc(4096)
+	d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
+	lane := pl.Lane(0)
+	body := func(p *sim.Proc) {
+		for i := 0; i < burst; i++ {
+			if err := lane.Submit(p, d); err != nil {
+				t.Error(err)
+				return
+			}
 		}
+		pl.WaitInflight(p, 0)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		r.e.Go("burst", body)
+		r.e.Run()
+	})
+	if allocs > want {
+		t.Errorf("one burst of %d plane ops allocates %.0f times, want at most %d", burst, allocs, want)
 	}
 }

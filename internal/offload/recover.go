@@ -80,14 +80,14 @@ func (t *Tenant) retryFault(status dsa.Status, prior int) (fault, retry bool) {
 	if !recoverableStatus(status) {
 		return false, false
 	}
-	t.stats.faults.Add(1)
+	t.stats.Faults++
 	t.S.met.fault()
 	return true, prior < t.policy.RetryMax
 }
 
 // retried counts one re-submission recovery issued.
 func (t *Tenant) retried() {
-	t.stats.retries.Add(1)
+	t.stats.Retries++
 	t.S.met.retry()
 }
 
@@ -145,7 +145,7 @@ func (t *Tenant) fallback(p *sim.Proc, f *Future, rem dsa.Descriptor) bool {
 		return false // core path refused: let the hardware fault surface
 	}
 	t.coreDone(p, &res, dur, rem.Size, f.start)
-	t.stats.fallbacks.Add(1)
+	t.stats.Fallbacks++
 	t.S.met.fallback()
 	f.done, f.res, f.err = true, res, nil
 	return true

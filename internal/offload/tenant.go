@@ -3,7 +3,6 @@ package offload
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
@@ -32,11 +31,9 @@ type Tenant struct {
 	batcher *AutoBatcher
 	clients map[*dsa.WQ]*dsa.Client
 
-	// stats counters are atomic: the submission plane's lanes increment
-	// them from concurrent host goroutines while tests and dashboards read
-	// Stats() (satellite of the sharded-plane work — the plain counters
-	// here used to race at 64 submitters).
-	stats statCounters
+	// stats holds the live counters; Stats returns a copy with Drifts
+	// filled in from the telemetry plane.
+	stats Stats
 
 	// plane, when non-nil, is the tenant's sharded submission front end
 	// (one per tenant; see NewPlane).
@@ -57,10 +54,8 @@ type Tenant struct {
 	coalCount  int
 	coalWindow sim.Time
 
-	// closed marks a retired tenant (Close). Atomic because the plane's
-	// host-domain TrySubmit path reads it from concurrent goroutines
-	// while Close runs engine-side.
-	closed atomic.Bool
+	// closed marks a retired tenant (Close).
+	closed bool
 }
 
 // Close retires the tenant: its queued auto-batch is flushed so no future
@@ -76,18 +71,18 @@ type Tenant struct {
 // out of scope for the simulation), so a replacement tenant is simply
 // NewTenant again.
 func (t *Tenant) Close(p *sim.Proc) error {
-	if t.closed.Load() {
+	if t.closed {
 		return fmt.Errorf("offload: close: %w", ErrTenantClosed)
 	}
 	if t.batcher != nil {
 		t.batcher.Flush(p)
 	}
-	t.closed.Store(true)
+	t.closed = true
 	return nil
 }
 
 // Closed reports whether the tenant has been retired with Close.
-func (t *Tenant) Closed() bool { return t.closed.Load() }
+func (t *Tenant) Closed() bool { return t.closed }
 
 // settle is the one outcome rule: an accepted operation the caller sees
 // settles exactly once, SLOOk when it succeeded within Policy.SLOBudget
@@ -98,9 +93,9 @@ func (t *Tenant) settle(lat sim.Time, ok bool) {
 		return
 	}
 	if ok && lat <= b {
-		t.stats.sloOk.Add(1)
+		t.stats.SLOOk++
 	} else {
-		t.stats.sloMiss.Add(1)
+		t.stats.SLOMiss++
 	}
 }
 
@@ -119,7 +114,7 @@ func (t *Tenant) Class() QoSClass { return t.class }
 // the telemetry plane: the regime shifts flagged on this tenant's
 // completion streams so far.
 func (t *Tenant) Stats() Stats {
-	s := t.stats.snapshot()
+	s := t.stats
 	s.Drifts = t.S.met.tenantDrifts(t.AS.PASID)
 	return s
 }
@@ -214,14 +209,14 @@ func NoBatch() OpOption { return func(c *submitCfg) { c.noBatch = true } }
 // charges its own bucket with a 1/shards share of the rate and burst (at
 // least one, so every lane can issue a back-to-back submission). A closed
 // tenant is refused. Over the limit the submission is shed with
-// ErrAdmission or, under Policy.AdmitWait, delayed until a token accrues;
-// Lane.TrySubmit has no process to park (p nil), so it can only shed.
-func (t *Tenant) admit(p *sim.Proc, now sim.Time, b *tokenBucket, shards int) error {
+// ErrAdmission or, under Policy.AdmitWait, delayed until a token accrues.
+func (t *Tenant) admit(p *sim.Proc, b *tokenBucket, shards int) error {
 	rate, burst := t.policy.AdmitRate/float64(shards), max(t.policy.AdmitBurst/shards, 1)
 	var floor sim.Time
+	now := p.Now()
 	for waited := false; ; waited = true {
 		// Checked on every pass: an admission wait may sleep across a Close.
-		if t.closed.Load() {
+		if t.closed {
 			return fmt.Errorf("offload: %w", ErrTenantClosed)
 		}
 		ok, wait := b.take(now, rate, burst)
@@ -229,11 +224,11 @@ func (t *Tenant) admit(p *sim.Proc, now sim.Time, b *tokenBucket, shards int) er
 			return nil
 		}
 		if !waited {
-			if p == nil || !t.policy.AdmitWait {
-				t.stats.shed.Add(1)
+			if !t.policy.AdmitWait {
+				t.stats.Shed++
 				return ErrAdmission
 			}
-			t.stats.delayed.Add(1)
+			t.stats.Delayed++
 			// Fold the retry cadence into the tenant's interrupt-moderation
 			// window: waking the moment one token accrues burns one wakeup
 			// per delayed sub-batch, and each such wakeup delivers into a
@@ -247,7 +242,7 @@ func (t *Tenant) admit(p *sim.Proc, now sim.Time, b *tokenBucket, shards int) er
 			}
 		}
 		p.Sleep(max(wait, floor))
-		t.stats.admitWakeups.Add(1)
+		t.stats.AdmitWakeups++
 		now = p.Now()
 	}
 }
@@ -262,8 +257,8 @@ func (t *Tenant) stamp(d *dsa.Descriptor) {
 // accepted counts one descriptor a WQ portal or plane ring took, carrying
 // bytes of payload (a batch parent's is its children's).
 func (t *Tenant) accepted(bytes int64) {
-	t.stats.hwOps.Add(1)
-	t.stats.hwBytes.Add(bytes)
+	t.stats.HWOps++
+	t.stats.HWBytes += bytes
 }
 
 // request builds the scheduler request for one descriptor, resolving the
