@@ -1,6 +1,7 @@
 // Command dsa-bench regenerates the paper's evaluation artifacts (every
 // table and figure) on the simulated platform and renders them as text
-// tables or CSV.
+// tables or CSV. Experiments run concurrently on GOMAXPROCS workers; the
+// output is printed and written in registry order.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -28,23 +30,7 @@ func main() {
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	csvDir := flag.String("csv", "", "directory to write per-table CSV files")
 	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_<id>.json files")
-	submitters := flag.Int("submitters", 0, "narrow the contention experiment's sweep to {1, N} submitters (0: full sweep)")
-	fleetScale := flag.Float64("fleetscale", 0, "scale the fleet scenarios' durations/connections by this factor (0: full scale)")
 	flag.Parse()
-
-	if *fleetScale > 0 {
-		exp.FleetScale = *fleetScale
-	}
-
-	if *submitters > 0 {
-		// A quick local scaling check: one anchor point plus the requested
-		// count, instead of the full committed sweep.
-		if *submitters == 1 {
-			exp.ContentionSweep = []int{1}
-		} else {
-			exp.ContentionSweep = []int{1, *submitters}
-		}
-	}
 
 	if *list {
 		for _, e := range exp.All() {
@@ -76,11 +62,11 @@ func main() {
 		}
 	}
 
-	for _, e := range todo {
-		start := time.Now()
-		tables := e.Run()
-		fmt.Printf("\n### %s (%s) [%v]\n\n", e.ID, e.Title, time.Since(start).Round(time.Millisecond))
-		for _, t := range tables {
+	for i, r := range runAll(todo) {
+		e := todo[i]
+		<-r.done
+		fmt.Printf("\n### %s (%s) [%v]\n\n", e.ID, e.Title, r.wall.Round(time.Millisecond))
+		for _, t := range r.tables {
 			fmt.Println(t.String())
 			if *csvDir != "" {
 				path := filepath.Join(*csvDir, t.ID+".csv")
@@ -91,7 +77,7 @@ func main() {
 			}
 		}
 		if *jsonDir != "" {
-			data, err := report.MarshalBench(e.ID, e.Title, tables)
+			data, err := report.MarshalBench(e.ID, e.Title, r.tables)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -103,4 +89,35 @@ func main() {
 			}
 		}
 	}
+}
+
+// result is one experiment's output; done closes once it is filled in.
+type result struct {
+	tables []*report.Table
+	wall   time.Duration
+	done   chan struct{}
+}
+
+// runAll starts todo on runtime.GOMAXPROCS(0) workers and returns one
+// result per experiment, in todo's order. Each experiment builds its own
+// engine and platform, so runs share no state.
+func runAll(todo []exp.Experiment) []*result {
+	res := make([]*result, len(todo))
+	next := make(chan int, len(todo))
+	for i := range todo {
+		res[i] = &result{done: make(chan struct{})}
+		next <- i
+	}
+	close(next)
+	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {
+		go func() {
+			for i := range next {
+				start := time.Now()
+				res[i].tables = todo[i].Run()
+				res[i].wall = time.Since(start)
+				close(res[i].done)
+			}
+		}()
+	}
+	return res
 }

@@ -32,8 +32,12 @@ const chaosRecoveryBudget = 12
 //
 // Ramp latencies are open-loop, so retry round trips and failover
 // detours land on the SLO exactly as a waiting client observes them.
-func Chaos() []*report.Table {
-	sc := fleet.Chaos().Scaled(FleetScale)
+func Chaos() []*report.Table { return chaosTables(1) }
+
+// chaosTables runs Chaos with the scenario scaled by scale, as
+// fleetTables does.
+func chaosTables(scale float64) []*report.Table {
+	sc := fleet.Chaos().Scaled(scale)
 
 	slo := report.New("chaos-slo", "SLO-attained throughput under injected faults",
 		"variant", "kops/s")

@@ -9,11 +9,7 @@ import "testing"
 // the machinery, not luck), and the phase run recovers inside the gated
 // window budget with nonzero fault-handling work behind it.
 func TestChaosExperimentShape(t *testing.T) {
-	old := FleetScale
-	FleetScale = 0.2
-	defer func() { FleetScale = old }()
-
-	tables := Chaos()
+	tables := chaosTables(0.2)
 	if len(tables) != 2 || tables[0].ID != "chaos-slo" || tables[1].ID != "chaos-recovery" {
 		t.Fatalf("tables = %v, want [chaos-slo chaos-recovery]", tables)
 	}

@@ -11,11 +11,6 @@ import (
 	"dsasim/internal/sim"
 )
 
-// ContentionSweep is the submitter counts the contention experiment
-// measures. cmd/dsa-bench -submitters narrows it for quick local runs;
-// the committed baseline and the CI scale gate use the full sweep.
-var ContentionSweep = []int{1, 4, 16, 64}
-
 // contention workload shape: a closed loop per submitter — think, submit
 // one 1 KB copy, keep a small per-submitter window in flight. Small
 // transfers with think time make the submission path itself the
@@ -35,9 +30,10 @@ const (
 // over one table (id "contention", y in Mops/s):
 //
 //   - sharded: the per-shard submission plane — lane-local admission,
-//     lock-free per-WQ rings, snapshot routing. Each submitter pays its
-//     own portal write in parallel; the only serialization is the
-//     ring's slot-publish CAS (Timing.RingPush per push).
+//     one submission ring per WQ, routing on the WQ occupancy the drain
+//     publishes every 2µs. Each submitter pays its own portal write in
+//     parallel; the only serialization is the ring's modelled
+//     slot-publish (Timing.RingPush per push, held on a sim.Token).
 //   - global-lock: the same workload through the classic shared-state
 //     tenant path, with the shared mutable state (bucket, scheduler
 //     pick, telemetry sync) modeled as a single 75 ns critical section
@@ -47,17 +43,20 @@ const (
 //
 // The CI scale gate asserts sharded/ideal ≥ 0.7 at 64 submitters (an
 // absolute floor, not just a baseline ratio) and sharded > global-lock.
-func Contention() []*report.Table {
+func Contention() []*report.Table { return contentionTables([]int{1, 4, 16, 64}) }
+
+// contentionTables runs Contention over the given submitter counts.
+func contentionTables(sweep []int) []*report.Table {
 	t := report.New("contention", "Submission-plane scaling vs concurrent submitters",
 		"submitters", "Mops/s")
 	var base float64
-	for _, n := range ContentionSweep {
+	for _, n := range sweep {
 		sharded := contentionRun(n, true)
 		lock := contentionRun(n, false)
 		if base == 0 {
 			// The ideal anchor is the sharded single-submitter rate; a
-			// narrowed sweep (-submitters) anchors on its smallest point.
-			base = sharded / float64(ContentionSweep[0])
+			// sweep without 1 anchors on its smallest point.
+			base = sharded / float64(sweep[0])
 		}
 		x := float64(n)
 		t.Set("sharded", x, sharded)
@@ -65,7 +64,7 @@ func Contention() []*report.Table {
 		t.Set("ideal", x, base*float64(n))
 	}
 	t.Note("closed loop per submitter: %v think, %dB copies, window %d; 4 shared-WQ devices (2/socket) keep device capacity above demand, isolating the submission plane", contThink, contSize, contQD)
-	t.Note("global-lock models the monolithic plane's shared state as one %v critical section per submission; sharded serializes only on the %v ring-slot CAS", contLockHold, dsa.DefaultTiming().RingPush)
+	t.Note("global-lock models the monolithic plane's shared state as one %v critical section per submission; sharded serializes only on the %v modelled slot-publish of a shared ring", contLockHold, dsa.DefaultTiming().RingPush)
 	t.Note("ideal is the sharded 1-submitter rate x N; CI gates sharded/ideal at 64 submitters with an absolute 0.7 floor")
 	return []*report.Table{t}
 }

@@ -7,11 +7,7 @@ import "testing"
 // largest submitter count and beat the global-lock monolithic plane
 // there — the property the CI scale gate pins with an absolute floor.
 func TestContentionScaling(t *testing.T) {
-	old := ContentionSweep
-	ContentionSweep = []int{1, 64}
-	defer func() { ContentionSweep = old }()
-
-	tables := Contention()
+	tables := contentionTables([]int{1, 64})
 	if len(tables) != 1 || tables[0].ID != "contention" {
 		t.Fatalf("tables = %v, want one table 'contention'", tables)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -14,25 +15,54 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // structural sanity (at least one table, every table non-empty, every value
 // finite and non-negative) and pins every table's CSV to its golden copy in
 // testdata/golden/<table id>.csv. Run with -update to rewrite the goldens
-// after an intended model change, and say why in CHANGES.md.
+// after an intended model change, and say why in CHANGES.md. Experiments
+// run as parallel subtests: each builds its own engine and platform.
 func TestAllExperimentsProduceSaneTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is long; skipped with -short")
 	}
 	dir := filepath.Join("testdata", "golden")
 	all := All()
+	var mu sync.Mutex // guards produced and ran
 	produced := make(map[string]bool)
 	ran := 0
+	// Parallel subtests finish after this function returns, so the
+	// orphan check runs in a cleanup, once every subtest is done.
+	t.Cleanup(func() {
+		if ran < len(all) {
+			return // a -run filter skipped experiments: orphans cannot be told apart
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if produced[f.Name()] {
+				continue
+			}
+			if *update {
+				if err := os.Remove(filepath.Join(dir, f.Name())); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			t.Errorf("golden %s matches no table any experiment produced", f.Name())
+		}
+	})
 	for _, e := range all {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			mu.Lock()
 			ran++
+			mu.Unlock()
 			tables := e.Run()
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
 			for _, tab := range tables {
+				mu.Lock()
 				produced[tab.ID+".csv"] = true
+				mu.Unlock()
 				if len(tab.Series()) == 0 || len(tab.Xs()) == 0 {
 					t.Fatalf("table %s empty", tab.ID)
 				}
@@ -53,25 +83,6 @@ func TestAllExperimentsProduceSaneTables(t *testing.T) {
 				checkGolden(t, filepath.Join(dir, tab.ID+".csv"), tab.CSV())
 			}
 		})
-	}
-	if ran < len(all) {
-		return // a -run filter skipped experiments: orphans cannot be told apart
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		if produced[f.Name()] {
-			continue
-		}
-		if *update {
-			if err := os.Remove(filepath.Join(dir, f.Name())); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		t.Errorf("golden %s matches no table any experiment produced", f.Name())
 	}
 }
 

@@ -7,13 +7,6 @@ import (
 	"dsasim/internal/report"
 )
 
-// FleetScale shrinks the fleet scenarios' virtual durations and
-// connection counts (rates, sizes, and budgets are untouched — the
-// operating point is the scenario). 1.0 is the committed-baseline scale;
-// cmd/dsa-bench -fleetscale narrows it for quick local runs, mirroring
-// -submitters for the contention sweep.
-var FleetScale = 1.0
-
 // Fleet runs the fleet-scale service scenarios (internal/fleet) and
 // reports three tables:
 //
@@ -29,12 +22,18 @@ var FleetScale = 1.0
 //
 // Latencies are open-loop (scheduled arrival → completion), so backlog
 // and admission shed show up instead of hiding behind slowed submitters.
-func Fleet() []*report.Table {
+func Fleet() []*report.Table { return fleetTables(1) }
+
+// fleetTables runs Fleet with the scenarios' virtual durations and
+// connection counts scaled by scale (rates, sizes and budgets are
+// untouched: the operating point is the scenario). 1 is the committed
+// scale.
+func fleetTables(scale float64) []*report.Table {
 	slo := report.New("fleet-slo", "SLO-attained throughput per fleet scenario",
 		"scenario", "kops/s")
 	tables := []*report.Table{slo}
 	for i, sc := range fleet.Scenarios() {
-		sc = sc.Scaled(FleetScale)
+		sc = sc.Scaled(scale)
 		attained, base, steps := fleet.Attained(sc)
 		slo.SetNamed("attained", sc.Name, float64(i), attained)
 		slo.SetNamed("base", sc.Name, float64(i), base)

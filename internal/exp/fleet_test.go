@@ -12,11 +12,7 @@ import (
 // least their design load, and every phase row is populated for both
 // classes.
 func TestFleetExperimentShape(t *testing.T) {
-	old := FleetScale
-	FleetScale = 0.2
-	defer func() { FleetScale = old }()
-
-	tables := Fleet()
+	tables := fleetTables(0.2)
 	if len(tables) != 3 || tables[0].ID != "fleet-slo" {
 		t.Fatalf("tables = %d, want [fleet-slo fleet-packetswitch fleet-msgbroker]", len(tables))
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
 	"dsasim/internal/sim"
 )
@@ -12,76 +11,60 @@ import (
 // Regression: a fenced chain must never be split into per-socket
 // sub-batches, even when LoadAware routing is pricing a saturated home
 // socket — a fence orders descriptors across the WHOLE batch, which two
-// independent devices cannot honor. Before the pre-pass fix, a fence
-// arriving at the batch level (not per-descriptor) was not
-// seen by the split scan at all, so exactly this chain sharded and the
-// cross-socket ordering silently evaporated. The batch-level case now
-// arrives through Policy.Flags, which reaches the same scan.
+// independent devices cannot honor.
 func TestFencedChainUnsplitUnderSaturatedSocket(t *testing.T) {
-	for _, batchLevel := range []bool{true, false} {
-		pol := offload.DefaultPolicy()
-		pol.LoadAware = true
-		r := newRig(t, 2)
-		svc := r.service(t, offload.WithScheduler(offload.NewPlacement()), offload.WithPolicy(pol))
-		tn, err := svc.NewTenant(offload.OnSocket(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := int64(256 << 10)
-		// The fenced chain's data straddles sockets: an unfenced version of
-		// this flush WOULD split (that's asserted below).
-		a := tn.AllocOn(0, n)
-		b := tn.AllocOn(0, n)
-		c := tn.AllocOn(1, n)
-		sim.NewRand(6).Bytes(a.Bytes())
-		busySrc := tn.AllocOn(0, n)
-		busyDst := tn.AllocOn(0, n)
+	pol := offload.DefaultPolicy()
+	pol.LoadAware = true
+	r := newRig(t, 2)
+	svc := r.service(t, offload.WithScheduler(offload.NewPlacement()), offload.WithPolicy(pol))
+	tn, err := svc.NewTenant(offload.OnSocket(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(256 << 10)
+	// The fenced chain's data straddles sockets: an unfenced version of
+	// this flush WOULD split (that's asserted below).
+	a := tn.AllocOn(0, n)
+	b := tn.AllocOn(0, n)
+	c := tn.AllocOn(1, n)
+	sim.NewRand(6).Bytes(a.Bytes())
+	busySrc := tn.AllocOn(0, n)
+	busyDst := tn.AllocOn(0, n)
 
-		r.run(func(p *sim.Proc) {
-			// Saturate socket 0's device so load-aware routing has every
-			// incentive to move work off it.
-			var futs []*offload.Future
-			for i := 0; i < 24; i++ {
-				f, err := tn.Copy(p, busyDst.Addr(0), busySrc.Addr(0), n, offload.On(offload.Hardware))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				futs = append(futs, f)
-			}
-			// a→b on socket 0, FENCE, b→c onto socket 1: the second copy
-			// reads the first one's output, so splitting is a correctness
-			// bug, not a tuning choice.
-			bt := tn.NewBatch().Copy(b.Addr(0), a.Addr(0), n)
-			if batchLevel {
-				fenced := tn.Policy()
-				fenced.Flags |= dsa.FlagFence
-				tn.SetPolicy(fenced)
-				bt.Copy(c.Addr(0), b.Addr(0), n)
-			} else {
-				bt.Fence()
-				bt.Copy(c.Addr(0), b.Addr(0), n)
-			}
-			f, err := bt.Submit(p)
+	r.run(func(p *sim.Proc) {
+		// Saturate socket 0's device so load-aware routing has every
+		// incentive to move work off it.
+		var futs []*offload.Future
+		for i := 0; i < 24; i++ {
+			f, err := tn.Copy(p, busyDst.Addr(0), busySrc.Addr(0), n, offload.On(offload.Hardware))
 			if err != nil {
 				t.Error(err)
 				return
 			}
+			futs = append(futs, f)
+		}
+		// a→b on socket 0, FENCE, b→c onto socket 1: the second copy
+		// reads the first one's output, so splitting is a correctness
+		// bug, not a tuning choice.
+		f, err := tn.NewBatch().Copy(b.Addr(0), a.Addr(0), n).Fence().Copy(c.Addr(0), b.Addr(0), n).Submit(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.Wait(p, offload.Poll); err != nil {
+			t.Error(err)
+		}
+		for _, f := range futs {
 			if _, err := f.Wait(p, offload.Poll); err != nil {
 				t.Error(err)
 			}
-			for _, f := range futs {
-				if _, err := f.Wait(p, offload.Poll); err != nil {
-					t.Error(err)
-				}
-			}
-		})
-		if got := tn.Stats().Splits; got != 0 {
-			t.Errorf("batchLevel=%v: fenced chain produced %d sub-batches, want 0", batchLevel, got)
 		}
-		if !bytes.Equal(c.Bytes(), a.Bytes()) {
-			t.Errorf("batchLevel=%v: fence ordering lost across the chain", batchLevel)
-		}
+	})
+	if got := tn.Stats().Splits; got != 0 {
+		t.Errorf("fenced chain produced %d sub-batches, want 0", got)
+	}
+	if !bytes.Equal(c.Bytes(), a.Bytes()) {
+		t.Error("fence ordering lost across the chain")
 	}
 }
 

@@ -166,9 +166,7 @@ func failAll(futs []*Future, err error) {
 // batch, which independent devices cannot honor), or every descriptor
 // shares a target.
 //
-// A fence in Policy.Flags — which the parent will be submitted with —
-// makes the chain exactly as unsplittable as a per-descriptor fence. The
-// fence scan is a pure pre-pass, before any load-aware routing:
+// The fence scan is a pure pre-pass, before any load-aware routing:
 // routeSocket folds a sample into the placement cost EWMA and moves the
 // hysteresis incumbent, so discovering a mid-chain fence only after
 // routing earlier descriptors would leave phantom route state behind for a
@@ -176,9 +174,6 @@ func failAll(futs []*Future, err error) {
 // samples can flip the detour decision for unrelated traffic.
 func (t *Tenant) splitByHome(descs []dsa.Descriptor) [][]int {
 	if !t.policy.SplitBatches || !t.S.dataAware {
-		return nil
-	}
-	if t.policy.Flags&dsa.FlagFence != 0 {
 		return nil
 	}
 	for i := range descs {

@@ -130,7 +130,6 @@ func (t *Tenant) do(p *sim.Proc, d dsa.Descriptor, opts []OpOption) (*Future, er
 		return t.submitChain(p, chain{descs: []dsa.Descriptor{d}, admit: true})
 	}
 	if c.path == Auto && !c.noBatch && t.policy.AutoBatch > 0 && (d.Op == dsa.OpMemmove || d.Op == dsa.OpFill) {
-		d.Flags = t.policy.Flags
 		return t.Batcher().add(p, d)
 	}
 	return t.runSW(p, d)

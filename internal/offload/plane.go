@@ -98,6 +98,14 @@ type Plane struct {
 	// the drain observes the WQ healthy again.
 	dead []bool
 
+	// held/holding carry, per ring, an entry the drain popped but its WQ
+	// has not accepted yet (full), retried on the next drain pass.
+	held    []ringEntry
+	holding []bool
+
+	// drainFn is pl.drain, bound once so re-arming it allocates nothing;
+	// drainOn is set while a drain pass is scheduled.
+	drainFn func()
 	drainOn bool
 }
 
@@ -129,7 +137,10 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		ringTok: make([]*sim.Token, len(wqs)),
 		occ:     make([]int32, len(wqs)),
 		dead:    make([]bool, len(wqs)),
+		held:    make([]ringEntry, len(wqs)),
+		holding: make([]bool, len(wqs)),
 	}
+	pl.drainFn = pl.drain
 	for i, wq := range wqs {
 		pl.rings[i] = newSubmitRing(wq.Size)
 		pl.ringTok[i] = sim.NewToken(1)
@@ -336,85 +347,82 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	return nil
 }
 
-// ensureDrain spawns the drain process if it is not already running. The
-// drain exits when the rings empty, keeping the event loop free of
-// perpetual timers.
+// ensureDrain schedules a drain pass at the current instant unless one is
+// already scheduled. The drain stops re-arming when the rings empty,
+// keeping the event loop free of perpetual timers.
 func (pl *Plane) ensureDrain() {
 	if pl.drainOn {
 		return
 	}
 	pl.drainOn = true
-	pl.t.S.E.Go("plane-drain", pl.drain)
+	pl.t.S.E.After(0, pl.drainFn)
 }
 
-// drain moves ring entries into the device WQs: pop, WQ.Submit (zero
-// virtual cost — the submitter already paid the portal write in its own
-// timeline), hook the completion for wakeup moderation. A full WQ holds
-// the popped entry and retries after a poll gap; a *dead* WQ (disable
-// window or device outage — Submit returns dsa.ErrWQDisabled or
-// dsa.ErrDeviceOffline, not ErrWQFull) triggers failover: the drain
-// marks the ring dead and redistributes its entries to healthy rings,
-// then revives it once the WQ reports healthy again. The occupancy
-// republishes at the aggregation cadence; the process exits when the
-// rings run dry.
-func (pl *Plane) drain(p *sim.Proc) {
-	held := make([]ringEntry, len(pl.rings))
-	holding := make([]bool, len(pl.rings))
-	for {
-		progressed := false
-		blocked := false
-		for i := range pl.rings {
-			if pl.dead[i] {
-				if pl.wqs[i].Healthy() {
-					// The WQ healed: resume feeding it.
-					pl.dead[i] = false
-				} else {
-					// Sweep entries lanes raced into the dead ring while
-					// every candidate was down.
-					pl.sweepDead(i)
-					continue
-				}
+// drain is one pass of the engine callback that moves ring entries into
+// the device WQs: pop, WQ.Submit (zero virtual cost — the submitter
+// already paid the portal write in its own timeline), hook the completion
+// for wakeup moderation. A full WQ holds the popped entry and retries
+// after a poll gap; a *dead* WQ (disable window or device outage — Submit
+// returns dsa.ErrWQDisabled or dsa.ErrDeviceOffline, not ErrWQFull)
+// triggers failover: the drain marks the ring dead and redistributes its
+// entries to healthy rings, then revives it once the WQ reports healthy
+// again. The occupancy republishes at the aggregation cadence. While
+// entries remain the pass re-arms itself, a poll gap later when blocked
+// on a full WQ and at the same instant otherwise.
+func (pl *Plane) drain() {
+	progressed := false
+	blocked := false
+	for i := range pl.rings {
+		if pl.dead[i] {
+			if pl.wqs[i].Healthy() {
+				// The WQ healed: resume feeding it.
+				pl.dead[i] = false
+			} else {
+				// Sweep entries lanes raced into the dead ring while
+				// every candidate was down.
+				pl.sweepDead(i)
+				continue
 			}
-			for {
-				if !holding[i] {
-					e, ok := pl.rings[i].pop()
-					if !ok {
-						break
-					}
-					held[i], holding[i] = e, true
-				}
-				comp, err := pl.wqs[i].Submit(held[i].d)
-				if err != nil {
-					if errors.Is(err, dsa.ErrWQDisabled) || errors.Is(err, dsa.ErrDeviceOffline) {
-						pl.failover(i, held, holding)
-						progressed = true
-					} else {
-						blocked = true
-					}
+		}
+		for {
+			if !pl.holding[i] {
+				e, ok := pl.rings[i].pop()
+				if !ok {
 					break
 				}
-				comp.SetOnDone(pl.completed, held[i].tag)
-				holding[i] = false
-				pl.inflight++
-				pl.pending--
-				progressed = true
+				pl.held[i], pl.holding[i] = e, true
 			}
+			comp, err := pl.wqs[i].Submit(pl.held[i].d)
+			if err != nil {
+				if errors.Is(err, dsa.ErrWQDisabled) || errors.Is(err, dsa.ErrDeviceOffline) {
+					pl.failover(i)
+					progressed = true
+				} else {
+					blocked = true
+				}
+				break
+			}
+			comp.SetOnDone(pl.completed, pl.held[i].tag)
+			pl.holding[i] = false
+			pl.inflight++
+			pl.pending--
+			progressed = true
 		}
-		if now := p.Now(); progressed || now >= pl.lastPub+planeAggCadence {
-			pl.publish(now)
-		}
-		if pl.pending == 0 {
-			pl.drainOn = false
-			return
-		}
-		if blocked {
-			// Waiting on WQ slots: completions free them, paced by the
-			// device; poll at the gap the submission retry loop uses.
-			p.Sleep(pl.wqs[0].Dev.Cfg.Timing.PollGap)
-		} else {
-			// New pushes landed behind our scan at this instant.
-			p.Yield()
-		}
+	}
+	e := pl.t.S.E
+	if now := e.Now(); progressed || now >= pl.lastPub+planeAggCadence {
+		pl.publish(now)
+	}
+	switch {
+	case pl.pending == 0:
+		pl.drainOn = false
+	case blocked:
+		// Waiting on WQ slots: completions free them, paced by the
+		// device; poll at the gap the submission retry loop uses.
+		e.After(pl.wqs[0].Dev.Cfg.Timing.PollGap, pl.drainFn)
+	default:
+		// New pushes landed behind our scan at this instant.
+		e.After(0, pl.drainFn)
 	}
 }
 
@@ -422,15 +430,15 @@ func (pl *Plane) drain(p *sim.Proc) {
 // for the lanes and redistribute the held entry plus everything queued
 // behind it onto healthy rings. Entries with nowhere to go are shed
 // (counted as failures) rather than stranded behind a dead queue.
-func (pl *Plane) failover(i int, held []ringEntry, holding []bool) {
+func (pl *Plane) failover(i int) {
 	if !pl.dead[i] {
 		pl.dead[i] = true
 		pl.t.stats.Failovers++
 		pl.t.S.met.failover()
 	}
-	if holding[i] {
-		holding[i] = false
-		pl.redistribute(held[i])
+	if pl.holding[i] {
+		pl.holding[i] = false
+		pl.redistribute(pl.held[i])
 	}
 	pl.sweepDead(i)
 }

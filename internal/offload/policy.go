@@ -1,10 +1,6 @@
 package offload
 
-import (
-	"time"
-
-	"dsasim/internal/dsa"
-)
+import "time"
 
 // Path selects the execution engine for one operation.
 type Path int
@@ -158,10 +154,6 @@ type Policy struct {
 	// or failed. Refused submissions never settle. Pure accounting: the
 	// budget never changes scheduling or admission.
 	SLOBudget time.Duration
-
-	// Flags is OR-ed into every hardware descriptor (cache control,
-	// block-on-fault, ...).
-	Flags dsa.Flags
 }
 
 // DefaultCoalesceWindow is the moderation-timer bound used when a policy

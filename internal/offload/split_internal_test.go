@@ -72,23 +72,12 @@ func TestSplitByHomeFencePrePassLeavesRoutingUntouched(t *testing.T) {
 			sched.lastRoute, sched.smoothed)
 	}
 
-	// A batch-level fence (Policy.Flags) must suppress the scan just the
-	// same.
+	// Counterfactual: the same chain unfenced DOES route (state appears)
+	// and splits — the pre-pass, not the workload, kept the state clean.
 	plain := []dsa.Descriptor{
 		{Op: dsa.OpMemmove, Src: a.Addr(0), Dst: b.Addr(0), Size: n},
 		{Op: dsa.OpMemmove, Src: c.Addr(0), Dst: c.Addr(0), Size: n},
 	}
-	tn.policy.Flags = dsa.FlagFence
-	if groups := tn.splitByHome(plain); groups != nil {
-		t.Fatal("batch-level fence did not suppress splitting")
-	}
-	if len(sched.lastRoute) != 0 {
-		t.Fatal("batch-level fence scan touched routing state")
-	}
-
-	// Counterfactual: the same chain unfenced DOES route (state appears)
-	// and splits — the pre-pass, not the workload, kept the state clean.
-	tn.policy.Flags = 0
 	if groups := tn.splitByHome(plain); len(groups) != 2 {
 		t.Fatalf("unfenced mixed-home chain produced %d groups, want 2", len(groups))
 	}

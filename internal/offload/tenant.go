@@ -247,12 +247,9 @@ func (t *Tenant) admit(p *sim.Proc, b *tokenBucket, shards int) error {
 	}
 }
 
-// stamp binds a descriptor to the tenant before it reaches a WQ or ring:
-// the tenant's PASID, and the policy flags OR-ed in.
-func (t *Tenant) stamp(d *dsa.Descriptor) {
-	d.PASID = t.AS.PASID
-	d.Flags |= t.policy.Flags
-}
+// stamp binds a descriptor to the tenant's PASID before it reaches a WQ or
+// ring.
+func (t *Tenant) stamp(d *dsa.Descriptor) { d.PASID = t.AS.PASID }
 
 // accepted counts one descriptor a WQ portal or plane ring took, carrying
 // bytes of payload (a batch parent's is its children's).

@@ -56,9 +56,6 @@ func NewHub(window sim.Time) *Hub {
 	return &Hub{window: window}
 }
 
-// Window returns the tumbling-window span the hub's digests rotate on.
-func (h *Hub) Window() sim.Time { return h.window }
-
 // Stream registers a named stream and returns its ID. Registration
 // allocates; it happens at topology-build time, never on the hot path.
 func (h *Hub) Stream(name string) ID {
